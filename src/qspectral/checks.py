@@ -26,7 +26,7 @@ from .qmat import (QMatrix, QVector, adjoint, chi, gram_schmidt, kernel_basis,
                    kernel_dim_numeric, rank)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
 from .regions import boundary_distance, build_frame, spectrum_regions
-from .spec_fd import asc_dsc, pseudo_resolvent, right_eigenspheres
+from .spec_fd import asc_dsc, pseudo_resolvent_chi, right_eigenspheres
 from .specio import operator_dump
 
 ClassifyFn = Callable[[StructuredOperator, HalfPlanePoint],
@@ -361,7 +361,7 @@ def suite_sphere_invariance(rng: random.Random,
     for _ in range(n_matrices):
         a = random_matrix(rng, rng.randint(1, 4))
         for p, _mult in right_eigenspheres(a).spheres:
-            dims = {kernel_dim_numeric(pseudo_resolvent(a, q))
+            dims = {kernel_dim_numeric(pseudo_resolvent_chi(a, sphere_of(q)))
                     for q in _representatives(p, rng, reps)}
             res.record(len(dims) == 1 and dims != {0},
                        lambda a=a, p=p, d=dims: (

@@ -1,7 +1,12 @@
 """Command-line surface: spectrum / classify / check.
 
-Exit codes: 0 ok, 1 invariant violation, 2 parse error, 3 unsupported
-request, 4 numerical failure.  QSPECTRAL_SEED overrides the corpus seed.
+Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
+error (including a spec the operator classes reject, e.g. a zero geometric
+offset), 3 unsupported request (a delegated set without --oracle, or any
+other domain or delegation error raised while computing, e.g. a geometric
+family scan that does not terminate), 4 numerical failure.  Errors 2-4
+print one line on stderr.  QSPECTRAL_SEED overrides the corpus seed.
+A negative u may follow --point as its own argument (--point -1,0).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .checks import ClassifyFn, corpus, run_all
-from .errors import NumericalError, SpecFileError
+from .errors import NumericalError, QSpectralError, SpecFileError
 from .opmodel import Membership, StructuredOperator, classify
 from .oracle import BOUNDARY_BAND, cross_check, agreement
 from .quat import HalfPlanePoint
@@ -325,10 +330,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_point(argv: Sequence[str]) -> list[str]:
+    """Join ``--point VALUE`` into ``--point=VALUE`` so that a negative u
+    (``--point -1,0``) is not read as an option by argparse."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and not arg.startswith("--"):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None, stdout=None,
          classify_fn: ClassifyFn = classify) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     parser = _build_parser()
+    argv = _glue_point(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -345,6 +363,9 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None,
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except QSpectralError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
 
 def entry() -> None:

@@ -20,10 +20,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DelegatedError, DomainError
-from .qmat import (MEMBERSHIP_TOL, QMatrix, QVector, adjoint, chi,
-                   kernel_basis, kernel_dim_numeric)
+from .qmat import (MEMBERSHIP_TOL, QMatrix, QVector, adjoint, kernel_basis,
+                   kernel_dim_numeric)
 from .quat import HalfPlanePoint, Quaternion, Real, _frac, sphere_of
-from .spec_fd import pseudo_resolvent_at
+from .spec_fd import asc_dsc, pseudo_resolvent_at, pseudo_resolvent_chi
 
 INF = math.inf
 
@@ -77,7 +77,16 @@ class GeometricFamily:
         object.__setattr__(self, "ratio", ratio)
 
     def entry(self, m: int) -> Quaternion:
-        return self.limit + self.offset * (self.ratio ** m)
+        return self.entry_at(self.ratio ** m)
+
+    def entry_at(self, t: Fraction) -> Quaternion:
+        """limit + offset * t for a real t; entry(m) is entry_at(ratio**m).
+
+        Callers walking m upwards keep t and multiply it by the ratio.
+        """
+        lim, off = self.limit, self.offset
+        return Quaternion(lim.q0 + off.q0 * t, lim.q1 + off.q1 * t,
+                          lim.q2 + off.q2 * t, lim.q3 + off.q3 * t)
 
     def sphere(self, m: int) -> HalfPlanePoint:
         return sphere_of(self.entry(m))
@@ -247,7 +256,7 @@ def geometric_sphere_indices(fam: GeometricFamily, p: HalfPlanePoint,
             break
         if du == 0 and abs(ds2) > 2 * s_ub * o_ub * t + off_n2 * t * t:
             break
-        d = fam.entry(m)
+        d = fam.entry_at(t)
         if d.q0 == p.u and d.im_norm_sq() == p.s_sq:
             hits.append(m)
         m += 1
@@ -294,18 +303,19 @@ def _analyze_block(block: QMatrix, p: HalfPlanePoint) -> ComponentAnalysis:
     r = pseudo_resolvent_at(block, p)
     k = len(kernel_basis(r))
     if k == 0:
-        k = kernel_dim_numeric(r, MEMBERSHIP_TOL)
+        rc = pseudo_resolvent_chi(block, p)
+        k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
         if k == 0:
             return ComponentAnalysis(0, 0, True, True, 0, 0)
-        m = _stabilization_numeric(r)
+        m = _stabilization_numeric(rc)
     else:
-        from .spec_fd import asc_dsc
         m = asc_dsc(r).ascent
     return ComponentAnalysis(k, k, True, False, m, m)
 
 
-def _stabilization_numeric(r: QMatrix) -> int:
-    c = chi(r)
+def _stabilization_numeric(c: np.ndarray) -> int:
+    """First k with rank(c^(k+1)) == rank(c^k), ranks read at MEMBERSHIP_TOL
+    from the singular values of the embedded pseudo-resolvent ``c``."""
     n = c.shape[0]
     ranks = [n // 2]
     power = np.eye(n, dtype=complex)

@@ -20,6 +20,7 @@ from .opmodel import (BACKWARD, ConstantFamily, GeometricFamily, Membership,
                       ShiftTail, StructuredOperator)
 from .qmat import QMatrix, chi
 from .quat import HalfPlanePoint, Quaternion, Real, _frac
+from .spec_fd import pseudo_resolvent_chi
 
 DEFAULT_SIZES = (16, 32, 64)
 VANISH_THRESHOLD = 1e-6
@@ -104,15 +105,15 @@ def _beyond(op: StructuredOperator, v, n: int) -> bool:
 
 
 # fast singular-value route exploiting the direct-sum structure; the
-# values equal those of chi(R_q(truncate(A, n))) exactly
+# values are those of chi(R_q(truncate(A, n))), the block's to within the
+# float pseudo-resolvent's error (see qmat.MEMBERSHIP_TOL)
 def _component_singular_values(op: StructuredOperator, n: int,
                                p: HalfPlanePoint) -> np.ndarray:
     svs = []
     u, rho_sq = float(p.u), float(p.radius_sq)
     if op.finite_block is not None:
-        from .spec_fd import pseudo_resolvent_at
-        r = pseudo_resolvent_at(op.finite_block, p)
-        svs.append(np.linalg.svd(chi(r), compute_uv=False))
+        r = pseudo_resolvent_chi(op.finite_block, p)
+        svs.append(np.linalg.svd(r, compute_uv=False))
     for comp in op.infinite_components:
         if isinstance(comp, (ConstantFamily, GeometricFamily)):
             d0, imn2 = _family_profile(comp, n)
@@ -136,8 +137,22 @@ from functools import lru_cache
 
 @lru_cache(maxsize=4096)
 def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float (Re d_m, |Im d_m|^2) profiles of a diagonal family."""
-    entries = [comp.entry(m) for m in range(1, n + 1)]
+    """Float (Re d_m, |Im d_m|^2), m = 1..n, of a diagonal family.
+
+    Sizes up to the largest default truncation are slices of that one
+    profile, whose entries are built walking t = ratio**m upwards.
+    """
+    full = max(n, DEFAULT_SIZES[-1])
+    if n < full:
+        d0, imn2 = _family_profile(comp, full)
+        return d0[:n], imn2[:n]
+    if isinstance(comp, ConstantFamily):
+        entries = [comp.value] * n
+    else:
+        entries, t = [], comp.ratio
+        for _ in range(n):
+            entries.append(comp.entry_at(t))
+            t *= comp.ratio
     d0 = np.array([float(d.q0) for d in entries])
     imn2 = np.array([float(d.im_norm_sq()) for d in entries])
     return d0, imn2

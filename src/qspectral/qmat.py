@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,7 +21,13 @@ from .errors import DimensionMismatchError, DomainError, RankDeficiencyError
 from .quat import ONE, ZERO, Quaternion, Real, _frac
 
 RANK_TOL = 1e-9          # relative rank tolerance for the floating route
-MEMBERSHIP_TOL = 1e-8    # relative min-singular-value spectral membership test
+# Relative min-singular-value spectral membership test.  The float route
+# chi(A)^2 - 2u chi(A) + rho^2 I (spec_fd.pseudo_resolvent_chi) differs
+# from chi of the exact pseudo-resolvent by about
+# eps * (|chi A|^2 + 2|u| |chi A| + rho^2): under 1e-12 for n <= 6 and
+# components |x| <= 4 at points of the [-3, 3] x [0, 3] window, far below
+# the cutoff MEMBERSHIP_TOL * max(sigma_max, 1) >= 1e-8.
+MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,23 @@ class QMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Quaternion:
         return self.entries[ij[0]][ij[1]]
+
+    # Both caches live on the instance (the dataclass is frozen, so the
+    # entries they derive from never change) and go with it.
+    @cached_property
+    def square(self) -> "QMatrix":
+        """A @ A, exact, formed once per matrix."""
+        return self @ self
+
+    @cached_property
+    def chi_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(chi(A), chi(A) @ chi(A)) in floating point, formed once per
+        matrix; both arrays are read-only."""
+        c = chi(self)
+        c2 = c @ c
+        c.flags.writeable = False
+        c2.flags.writeable = False
+        return c, c2
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -262,14 +286,19 @@ def rank_numeric(a: QMatrix, tol: float = RANK_TOL) -> int:
     return int(np.sum(sv > tol * max(sv[0], 1.0))) // 2
 
 
-def kernel_dim_numeric(a: QMatrix, tol: float = MEMBERSHIP_TOL) -> int:
-    """dim_H ker(A) from the singular values of chi(A)."""
-    sv = np.linalg.svd(chi(a), compute_uv=False)
+def kernel_dim_numeric(a: QMatrix | np.ndarray,
+                       tol: float = MEMBERSHIP_TOL) -> int:
+    """dim_H ker(A) from the singular values of chi(A).
+
+    ``a`` is a QMatrix or an already embedded 2r x 2c complex array.
+    """
+    c = a if isinstance(a, np.ndarray) else chi(a)
+    sv = np.linalg.svd(c, compute_uv=False)
     if sv.size == 0:
         return 0
     top = sv[0]
     if top == 0.0:
-        return a.cols
+        return c.shape[1] // 2
     # scale floored at 1: near an eigensphere the whole pseudo-resolvent of
     # a small matrix can be uniformly tiny, which is a kernel, not noise
     return int(np.sum(sv <= tol * max(top, 1.0))) // 2

@@ -57,8 +57,36 @@ def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
 
 
 def pseudo_resolvent_at(a: QMatrix, p: HalfPlanePoint) -> QMatrix:
-    ident = QMatrix.identity(a.rows)
-    return (a @ a) - a.scale_real(2 * p.u) + ident.scale_real(p.radius_sq)
+    """R = A^2 - 2u A + rho^2 I, exact, from the cached square of A.
+
+    Entrywise (A^2)_ij - 2u A_ij + rho^2 delta_ij: every term is a
+    quaternion scaled by a real, so no quaternion product is formed.
+    """
+    two_u, rho_sq = 2 * p.u, p.radius_sq
+    rows = []
+    for i, (sq_row, a_row) in enumerate(zip(a.square.entries, a.entries)):
+        row = []
+        for j, (s, e) in enumerate(zip(sq_row, a_row)):
+            q0 = s.q0 - two_u * e.q0
+            if i == j:
+                q0 += rho_sq
+            row.append(Quaternion(q0, s.q1 - two_u * e.q1,
+                                  s.q2 - two_u * e.q2, s.q3 - two_u * e.q3))
+        rows.append(row)
+    return QMatrix(rows)
+
+
+def pseudo_resolvent_chi(a: QMatrix, p: HalfPlanePoint) -> np.ndarray:
+    """chi(R) in floating point: chi(A)^2 - 2u chi(A) + rho^2 I.
+
+    For consumers that only read singular values.  It is formed from the
+    cached float pair of A, so no Fraction arithmetic runs per point; the
+    error against chi of the exact R is bounded next to MEMBERSHIP_TOL.
+    """
+    c, c2 = a.chi_pair
+    r = c2 - (2 * float(p.u)) * c
+    r[np.diag_indices_from(r)] += float(p.radius_sq)
+    return r
 
 
 def right_eigenspheres(a: QMatrix) -> EigensphereSet:
@@ -88,8 +116,9 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
         u = sum(p[0] for p in cl) / len(cl)
         s = sum(p[1] for p in cl) / len(cl)
         p = _snap_sphere(a, u, s)
-        r = pseudo_resolvent_at(a, p)
-        mult = max(kernel_dim_numeric(r, MEMBERSHIP_TOL), len(kernel_basis(r)))
+        mult = max(kernel_dim_numeric(pseudo_resolvent_chi(a, p),
+                                      MEMBERSHIP_TOL),
+                   len(kernel_basis(pseudo_resolvent_at(a, p))))
         if mult == 0:
             # tight cluster around a genuine eigenvalue can still miss at
             # the centroid only through float noise; count it as simple
@@ -158,11 +187,11 @@ def s_spectrum_membership(a: QMatrix, q: Quaternion) -> MembershipTag:
     Finite dimension forces sigma_S = sigma_pS; residual/continuous tags
     cannot occur for matrices.
     """
-    r = pseudo_resolvent(a, q)
-    if kernel_basis(r):
+    p = sphere_of(q)
+    if kernel_basis(pseudo_resolvent_at(a, p)):
         return MembershipTag.POINT
     # floating fallback for query points that only approximate a sphere
-    sv = np.linalg.svd(chi(r), compute_uv=False)
+    sv = np.linalg.svd(pseudo_resolvent_chi(a, p), compute_uv=False)
     if sv[-1] <= MEMBERSHIP_TOL * max(sv[0], 1.0):
         return MembershipTag.POINT
     return MembershipTag.RESOLVENT
@@ -170,11 +199,10 @@ def s_spectrum_membership(a: QMatrix, q: Quaternion) -> MembershipTag:
 
 def on_eigensphere(a: QMatrix, p: HalfPlanePoint) -> int:
     """dim_H ker R_q(A) at a representative of p (0 off the spectrum)."""
-    r = pseudo_resolvent_at(a, p)
-    exact = len(kernel_basis(r))
+    exact = len(kernel_basis(pseudo_resolvent_at(a, p)))
     if exact:
         return exact
-    return kernel_dim_numeric(r, MEMBERSHIP_TOL)
+    return kernel_dim_numeric(pseudo_resolvent_chi(a, p), MEMBERSHIP_TOL)
 
 
 def asc_dsc(a: QMatrix) -> AscDescReport:

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .errors import SpecFileError
+from .errors import DomainError, SpecFileError
 from .opmodel import (BACKWARD, FORWARD, ConstantFamily, GeometricFamily,
                       ShiftTail, StructuredOperator)
 from .qmat import QMatrix, QVector
@@ -56,7 +56,10 @@ def matrix_from_obj(obj: Any) -> QMatrix:
     if (not isinstance(obj, list) or not obj
             or not all(isinstance(r, list) and r for r in obj)):
         raise SpecFileError("matrix must be a non-empty nested array")
-    return QMatrix([[quat_from_obj(e) for e in row] for row in obj])
+    try:
+        return QMatrix([[quat_from_obj(e) for e in row] for row in obj])
+    except DomainError as exc:
+        raise SpecFileError(f"bad matrix: {exc}") from exc
 
 
 def matrix_to_obj(m: QMatrix) -> list:
@@ -73,6 +76,12 @@ def vector_to_obj(v: QVector) -> list:
     return [quat_to_obj(v[i]) for i in range(v.length)]
 
 
+def _field(obj: dict, key: str, what: str) -> Any:
+    if key not in obj:
+        raise SpecFileError(f"{what} needs a {key!r}")
+    return obj[key]
+
+
 def structured_from_obj(obj: Any) -> StructuredOperator:
     if not isinstance(obj, dict):
         raise SpecFileError('"structured" must be an object')
@@ -87,13 +96,16 @@ def structured_from_obj(obj: Any) -> StructuredOperator:
         if not isinstance(f, dict) or "kind" not in f:
             raise SpecFileError("diagonal family needs a 'kind'")
         if f["kind"] == "constant":
-            fams.append(ConstantFamily(quat_from_obj(f["value"])))
+            fams.append(ConstantFamily(
+                quat_from_obj(_field(f, "value", "constant family"))))
         elif f["kind"] == "geometric":
-            ratio = _num(f["ratio"])
-            if not (0 < ratio < 1):
-                raise SpecFileError("ratio must lie in (0, 1)")
-            fams.append(GeometricFamily(quat_from_obj(f["limit"]),
-                                        quat_from_obj(f["offset"]), ratio))
+            limit, offset, ratio = (_field(f, k, "geometric family")
+                                    for k in ("limit", "offset", "ratio"))
+            try:
+                fams.append(GeometricFamily(quat_from_obj(limit),
+                                            quat_from_obj(offset), _num(ratio)))
+            except DomainError as exc:
+                raise SpecFileError(f"bad geometric family: {exc}") from exc
         else:
             raise SpecFileError(f"unknown family kind {f['kind']!r}")
     tails = []
@@ -162,7 +174,10 @@ def document_from_obj(doc: Any) -> OperatorSpecDocument:
     basis = doc.get("basis")
     basis = matrix_from_obj(basis) if basis is not None else None
     if has_m:
-        return OperatorSpecDocument(matrix_from_obj(doc["matrix"]), None, basis)
+        matrix = matrix_from_obj(doc["matrix"])
+        if matrix.rows != matrix.cols:
+            raise SpecFileError("matrix must be square")
+        return OperatorSpecDocument(matrix, None, basis)
     return OperatorSpecDocument(None, structured_from_obj(doc["structured"]),
                                 basis)
 

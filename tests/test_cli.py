@@ -129,6 +129,18 @@ def test_classify_with_oracle(shift_file):
     assert "agreement: ok" in out
 
 
+def test_classify_negative_u_as_separate_argument(matrix_file, shift_file):
+    code, out = run(["classify", matrix_file, "--point", "-1,0"])
+    assert code == EXIT_OK
+    assert "point: (-1.0, 0.0)" in out and "verdict: resolvent" in out
+    code, out = run(["classify", shift_file, "--point", "-1/2,0", "--oracle"])
+    assert code == EXIT_OK
+    assert "verdict: sigma_rS" in out and "agreement: ok" in out
+    assert run(["classify", shift_file, "--point=-1/2,0"])[1] == \
+        run(["classify", shift_file, "--point", "-1/2,0"])[1]
+    assert run(["classify", shift_file, "--point", "--oracle"])[0] == EXIT_PARSE
+
+
 def test_classify_oracle_disagreement_exits_one(shift_file):
     def wrong(op, p):
         cls = classify(op, p)
@@ -192,6 +204,32 @@ def test_exit_parse_errors(tmp_path, shift_file):
     assert run(["classify", shift_file, "--point", "0,-1"])[0] == EXIT_PARSE
     assert run(["bogus-command"])[0] == EXIT_PARSE
     assert run(["check", "--corpus", "nope"])[0] == EXIT_PARSE
+
+
+def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
+    path = tmp_path / "zero_offset.json"
+    path.write_text(json.dumps({"structured": {"diagonal_families": [
+        {"kind": "geometric", "limit": [0, 0, 0, 0],
+         "offset": [0, 0, 0, 0], "ratio": "1/2"}]}}))
+    code, _ = run(["spectrum", str(path)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "offset" in err
+    assert err.count("\n") == 1
+
+
+def test_exit_unsupported_on_unterminated_scan(tmp_path, monkeypatch, capsys):
+    import qspectral.opmodel as opmodel
+    monkeypatch.setattr(opmodel, "_GEOM_SCAN_CAP", 2)
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"structured": {
+        "diagonal_families": [{"kind": "geometric", "limit": [0, 0, 0, 0],
+                               "offset": [1, 0, 0, 0], "ratio": "1/2"}],
+        "shift_tails": [{"weight": "1/2"}]}}))
+    code, _ = run(["classify", str(path), "--point", "1/64,0"])
+    assert code == EXIT_UNSUPPORTED
+    err = capsys.readouterr().err
+    assert err == "error: geometric family scan did not terminate\n"
 
 
 def test_exit_numerical_failure(shift_file):

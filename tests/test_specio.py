@@ -94,3 +94,20 @@ def test_round_trip_corpus_and_perturbation():
 def test_dump_is_deterministic():
     op = exemplars()[10]
     assert operator_dump(op) == operator_dump(op)
+
+
+def test_rejected_operators_are_spec_errors():
+    bad = [
+        {"structured": {"diagonal_families": [
+            {"kind": "geometric", "limit": [1, 0, 0, 0],
+             "offset": [0, 0, 0, 0], "ratio": "1/3"}]}},
+        {"structured": {"diagonal_families": [
+            {"kind": "geometric", "limit": [1, 0, 0, 0],
+             "offset": [1, 0, 0, 0]}]}},
+        {"structured": {"diagonal_families": [{"kind": "constant"}]}},
+        {"matrix": [[[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]]},
+        {"matrix": [[[1, 0, 0, 0], [0, 0, 0, 0]]]},
+    ]
+    for obj in bad:
+        with pytest.raises(SpecFileError):
+            document_from_obj(obj)
