@@ -8,7 +8,6 @@ machine-readable (suite name, cases, failures, counterexamples).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,9 +18,10 @@ import numpy as np
 from . import oracle as _oracle
 from .leftmul import (LeftMultStructure, adjoint_identities_check,
                       left_scalar_vec)
-from .opmodel import (BACKWARD, FORWARD, ConstantFamily, GeometricFamily,
-                      Membership, ShiftTail, SpectralClassification,
-                      StructuredOperator, classify, perturb)
+from .opmodel import (BACKWARD, FORWARD, INVARIANT_SETS, ConstantFamily,
+                      GeometricFamily, Membership, ShiftTail,
+                      SpectralClassification, StructuredOperator, classify,
+                      perturb)
 from .qmat import (QMatrix, QVector, adjoint, chi, gram_schmidt, kernel_basis,
                    kernel_dim_numeric, rank)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
@@ -48,10 +48,6 @@ class SuiteResult:
             self.failures += 1
             if len(self.counterexamples) < MAX_EXAMPLES:
                 self.counterexamples.append(describe())
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
 
 
 def _ce(op: StructuredOperator, p: Optional[HalfPlanePoint], detail: str) -> str:
@@ -171,18 +167,9 @@ def sample_points(op: StructuredOperator, rng: random.Random,
 def _flags(cls: SpectralClassification) -> Optional[dict]:
     if cls.in_spectrum is Membership.DELEGATED:
         return None
-    m = Membership.IN
-    return {
-        "sigma_s": cls.in_spectrum is m, "ps": cls.point_spectrum is m,
-        "rs": cls.residual_spectrum is m, "cs": cls.continuous_spectrum is m,
-        "el": cls.ess_left is m, "er": cls.ess_right is m,
-        "e": cls.essential is m, "s0": cls.sigma0 is m,
-        "ws": cls.weyl is m, "bs": cls.browder is m,
-        "pinf": cls.sigma_plus_inf is m, "minf": cls.sigma_minus_inf is m,
-        "iso": cls.isolated is m, "pi0": cls.pi0 is m,
-        "stratum": cls.index_stratum, "fredholm": cls.fredholm,
-        "semi": cls.semi_fredholm, "index": cls.index,
-    }
+    f = {name: v is Membership.IN for name, v in cls.memberships().items()}
+    f["stratum"] = cls.index_stratum
+    return f
 
 
 # ---------------------------------------------------------------------
@@ -210,37 +197,38 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
                 continue
             resolvent = not f["sigma_s"]
             partition.record(
-                sum([resolvent, f["ps"], f["rs"], f["cs"]]) == 1,
+                sum([resolvent, f["sigma_ps"], f["sigma_rs"],
+                     f["sigma_cs"]]) == 1,
                 lambda op=op, p=p: _ce(op, p, "partition violated"))
             schechter.record(
-                f["ws"] == (f["e"] or (f["stratum"] not in (None, 0)))
-                and f["ws"] == (f["sigma_s"] and not f["s0"]),
+                f["ws"] == (f["sigma_e"] or (f["stratum"] not in (None, 0)))
+                and f["ws"] == (f["sigma_s"] and not f["sigma_0"]),
                 lambda op=op, p=p: _ce(op, p, "Schechter identity violated"))
             essdec.record(
-                f["e"] == (f["el"] and f["er"]) and not f["pinf"]
-                and not f["minf"],
+                f["sigma_e"] == (f["sigma_el"] and f["sigma_er"])
+                and not f["sigma_plus_inf"] and not f["sigma_minus_inf"],
                 lambda op=op, p=p: _ce(op, p, "essential decomposition violated"))
             strat.record(
-                f["sigma_s"] == (f["e"] or f["s0"]
+                f["sigma_s"] == (f["sigma_e"] or f["sigma_0"]
                                  or f["stratum"] not in (None, 0)),
                 lambda op=op, p=p: _ce(op, p, "spectrum stratification violated"))
             chain.record(
-                (not f["e"] or f["ws"]) and (not f["ws"] or f["bs"])
+                (not f["sigma_e"] or f["ws"]) and (not f["ws"] or f["bs"])
                 and (not f["bs"] or f["sigma_s"]),
                 lambda op=op, p=p: _ce(op, p, "containment chain violated"))
             bpi0.record(
-                not (f["sigma_s"] and not f["bs"]) or f["pi0"],
+                not (f["sigma_s"] and not f["bs"]) or f["pi_0"],
                 lambda op=op, p=p: _ce(op, p, "Browder-implies-pi0 violated"))
             if f["sigma_s"] and not f["bs"]:
                 witnesses["invertible_browder"] += 1
             if f["bs"] and not f["ws"]:
                 witnesses["browder_weyl"] += 1
-            if f["ws"] and not f["e"]:
+            if f["ws"] and not f["sigma_e"]:
                 witnesses["weyl_fredholm"] += 1
         f0 = _flags(classify_fn(op, HalfPlanePoint(0, 0)))
         if f0 is not None:
             w0.record(
-                (not f0["ws"]) == ((not f0["sigma_s"]) or f0["s0"]),
+                (not f0["ws"]) == ((not f0["sigma_s"]) or f0["sigma_0"]),
                 lambda op=op: _ce(op, HalfPlanePoint(0, 0),
                                   "Weyl-at-zero criterion violated"))
 
@@ -271,8 +259,8 @@ def suite_regions(ops: Sequence[StructuredOperator]) -> list[SuiteResult]:
     wadj = SuiteResult("weyl_adjoint_symmetry")
     for op in ops:
         base = op.unperturbed()
-        frame = build_frame(base)
-        strata = [n for n in frame.set_names if n.startswith("sigma_k:")]
+        strata = [n for n in build_frame(base).regions
+                  if n.startswith("sigma_k:")]
         a_e, a_ws, a_s = _atoms(base, "sigma_e"), _atoms(base, "ws"), _atoms(base, "sigma_s")
         a_0 = _atoms(base, "sigma_0")
         a_knz = frozenset().union(*[_atoms(base, n) for n in strata
@@ -301,9 +289,7 @@ def suite_perturbation(ops: Sequence[StructuredOperator], rng: random.Random,
         base = op.unperturbed()
         before = spectrum_regions(base)
         inv_keys = [k for k in before
-                    if k in ("sigma_e", "sigma_el", "sigma_er", "ws",
-                             "sigma_plus_inf", "sigma_minus_inf")
-                    or k.startswith("sigma_k:")]
+                    if k in INVARIANT_SETS or k.startswith("sigma_k:")]
         for _ in range(per_op):
             pert = perturb(base, random_perturbation(rng, base))
             after = spectrum_regions(pert)

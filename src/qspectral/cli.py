@@ -2,10 +2,11 @@
 
 Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
 error (including a spec the operator classes reject, e.g. a zero geometric
-offset), 3 unsupported request (a delegated set without --oracle, or any
-other domain or delegation error raised while computing, e.g. a geometric
-family scan that does not terminate), 4 numerical failure.  Errors 2-4
-print one line on stderr.  QSPECTRAL_SEED overrides the corpus seed.
+offset, and an unknown --set name), 3 unsupported request (a delegated set
+without --oracle, or any other domain or delegation error raised while
+computing, e.g. a geometric family scan that does not terminate), 4
+numerical failure.  Errors 2-4 print one line on stderr.  QSPECTRAL_SEED
+overrides the corpus seed.
 A negative u may follow --point as its own argument (--point -1,0).
 """
 
@@ -13,15 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .checks import ClassifyFn, corpus, run_all
 from .errors import NumericalError, QSpectralError, SpecFileError
-from .opmodel import Membership, StructuredOperator, classify
+from .opmodel import SET_NAMES, Membership, StructuredOperator, classify
 from .oracle import BOUNDARY_BAND, cross_check, agreement
 from .quat import HalfPlanePoint
 from .regions import boundary_distance, spectrum_regions
@@ -37,6 +38,8 @@ EXIT_NUMERICAL = 4
 DEFAULT_GRID_U = 121
 GRID_RANGE_U = (Fraction(-3), Fraction(3))
 GRID_RANGE_S = (Fraction(0), Fraction(3))
+
+SET_HELP = f"{', '.join(SET_NAMES)} or sigma_k:<index>"
 
 REGION_COLUMNS = ["set", "role", "kind", "u", "s", "radius", "closed",
                   "r_inner", "inner_closed", "r_outer", "outer_closed",
@@ -104,8 +107,7 @@ def _grid_csv(op: StructuredOperator, names: Sequence[str], n_u: int,
     w = csv.writer(out)
     w.writerow(["u", "s"] + list(names) + ["near_boundary"])
     for p in _grid_points(n_u):
-        cls = classify_fn(op, p)
-        flags = _set_flags(cls)
+        flags = classify_fn(op, p).memberships()
         row = [float(p.u), p.s]
         for name in names:
             v = flags.get(name, Membership.OUT)
@@ -113,22 +115,6 @@ def _grid_csv(op: StructuredOperator, names: Sequence[str], n_u: int,
                         Membership.DELEGATED: "unknown-delegated"}[v])
         row.append(int(boundary_distance(op, p) < BOUNDARY_BAND))
         w.writerow(row)
-
-
-def _set_flags(cls) -> dict:
-    flags = {
-        "sigma_s": cls.in_spectrum, "sigma_ps": cls.point_spectrum,
-        "sigma_rs": cls.residual_spectrum, "sigma_cs": cls.continuous_spectrum,
-        "sigma_el": cls.ess_left, "sigma_er": cls.ess_right,
-        "sigma_e": cls.essential, "sigma_0": cls.sigma0,
-        "ws": cls.weyl, "bs": cls.browder,
-        "sigma_plus_inf": cls.sigma_plus_inf,
-        "sigma_minus_inf": cls.sigma_minus_inf,
-        "iso": cls.isolated, "acc": cls.accumulation, "pi_0": cls.pi0,
-    }
-    if cls.index_stratum is not None:
-        flags[f"sigma_k:{cls.index_stratum}"] = Membership.IN
-    return flags
 
 
 def _oracle_grid_csv(op: StructuredOperator, name: str, n_u: int, out) -> None:
@@ -141,6 +127,9 @@ def _oracle_grid_csv(op: StructuredOperator, name: str, n_u: int, out) -> None:
 
 
 def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
+    for name in args.set or ():
+        if not (name in SET_NAMES or re.fullmatch(r"sigma_k:-?[0-9]+", name)):
+            raise SpecFileError(f"unknown set {name!r}; valid: {SET_HELP}")
     doc = load_document(args.file)
     if doc.matrix is not None:
         out, close = _out_stream(args.out, stdout)
@@ -312,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="emit eigensphere / region CSVs")
     sp.add_argument("file")
     sp.add_argument("--set", action="append", default=None,
-                    metavar="NAME", help="set name (repeatable)")
+                    metavar="NAME", help=f"set name (repeatable): {SET_HELP}")
     sp.add_argument("--grid", nargs="?", type=int, const=DEFAULT_GRID_U,
                     default=None, metavar="N",
                     help="also rasterize membership over [-3,3]x[0,3]")

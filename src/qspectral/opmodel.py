@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -90,6 +90,13 @@ class GeometricFamily:
 
     def sphere(self, m: int) -> HalfPlanePoint:
         return sphere_of(self.entry(m))
+
+    def spheres(self, start: int = 1) -> Iterator[HalfPlanePoint]:
+        """sphere(m) for m = start, start + 1, ..., walking t = ratio**m."""
+        t = self.ratio ** start
+        while True:
+            yield sphere_of(self.entry_at(t))
+            t *= self.ratio
 
     def limit_sphere(self) -> HalfPlanePoint:
         return sphere_of(self.limit)
@@ -390,6 +397,22 @@ def _analyze_components(op: StructuredOperator,
 # classification
 # ---------------------------------------------------------------------
 
+# The spectral sets by name, in output order, each mapped to the
+# SpectralClassification field that holds a point's membership in it.
+_SET_FIELDS = {
+    "sigma_s": "in_spectrum", "sigma_ps": "point_spectrum",
+    "sigma_rs": "residual_spectrum", "sigma_cs": "continuous_spectrum",
+    "sigma_el": "ess_left", "sigma_er": "ess_right", "sigma_e": "essential",
+    "sigma_0": "sigma0", "ws": "weyl", "bs": "browder",
+    "sigma_plus_inf": "sigma_plus_inf", "sigma_minus_inf": "sigma_minus_inf",
+    "iso": "isolated", "acc": "accumulation", "pi_0": "pi0",
+}
+SET_NAMES = tuple(_SET_FIELDS)
+# unchanged by finite-rank (compact) perturbations, as are the strata sigma_k
+INVARIANT_SETS = ("sigma_e", "sigma_el", "sigma_er", "ws",
+                  "sigma_plus_inf", "sigma_minus_inf")
+
+
 @dataclass
 class SpectralClassification:
     point: HalfPlanePoint
@@ -405,8 +428,6 @@ class SpectralClassification:
     fredholm: bool
     index: Optional[int]
     index_stratum: Optional[int]
-    sigma_plus_inf: Membership
-    sigma_minus_inf: Membership
     sigma0: Membership
     weyl: Membership
     browder: Membership
@@ -415,6 +436,18 @@ class SpectralClassification:
     isolated: Membership = Membership.DELEGATED
     accumulation: Membership = Membership.DELEGATED
     pi0: Membership = Membership.DELEGATED
+
+    # On this class a semi-Fredholm pseudo-resolvent is Fredholm, so the
+    # semi-Fredholm sets of index +inf and -inf are empty.
+    sigma_plus_inf = Membership.OUT
+    sigma_minus_inf = Membership.OUT
+
+    def memberships(self) -> dict[str, Membership]:
+        """{set name: membership} over SET_NAMES, plus sigma_k:<stratum>."""
+        out = {name: getattr(self, f) for name, f in _SET_FIELDS.items()}
+        if self.index_stratum is not None:
+            out[f"sigma_k:{self.index_stratum}"] = Membership.IN
+        return out
 
     def partition_tag(self) -> str:
         if self.in_spectrum is Membership.DELEGATED:
@@ -433,70 +466,45 @@ class SpectralClassification:
 def classify_core(op: StructuredOperator,
                   p: HalfPlanePoint) -> SpectralClassification:
     """Everything except the topological flags (iso/acc/pi0)."""
-    base = op.unperturbed()
-    a = _analyze_components(base, p)
+    a = _analyze_components(op.unperturbed(), p)
 
     semi_left = a.range_closed and a.ker != INF
     semi_right = a.range_closed and a.coker != INF
-    semi = semi_left or semi_right       # on this class the two coincide
     fred = semi_left and semi_right
     index = int(a.ker - a.coker) if fred else None
     in_sigma = not a.invertible
-    weyl_op = fred and index == 0
-    in_ws = not weyl_op
-    stratum = index if (fred and index != 0) else None
-
-    if not op.is_perturbed:
-        sigma0 = in_sigma and weyl_op
-        browder_op = fred and a.asc != INF and a.dsc != INF
-        cls = SpectralClassification(
-            point=p,
-            in_spectrum=Membership.of(in_sigma),
-            point_spectrum=Membership.of(a.ker > 0),
-            residual_spectrum=Membership.of(a.ker == 0 and a.coker > 0),
-            continuous_spectrum=Membership.of(
-                in_sigma and a.ker == 0 and a.coker == 0),
-            ker_dim=a.ker,
-            ess_left=Membership.of(not semi_left),
-            ess_right=Membership.of(not semi_right),
-            essential=Membership.of(not fred),
-            semi_fredholm=semi,
-            fredholm=fred,
-            index=index,
-            index_stratum=stratum,
-            sigma_plus_inf=Membership.OUT,
-            sigma_minus_inf=Membership.OUT,
-            sigma0=Membership.of(sigma0),
-            weyl=Membership.of(in_ws),
-            browder=Membership.of(not browder_op),
-            ascent=a.asc,
-            descent=a.dsc,
-        )
-        return cls
-
-    # perturbed: only the compact-perturbation invariants are exact
-    return SpectralClassification(
+    in_ws = not (fred and index == 0)
+    cls = SpectralClassification(
         point=p,
-        in_spectrum=Membership.IN if in_ws else Membership.DELEGATED,
-        point_spectrum=Membership.DELEGATED,
-        residual_spectrum=Membership.DELEGATED,
-        continuous_spectrum=Membership.DELEGATED,
-        ker_dim=None,
+        in_spectrum=Membership.of(in_sigma),
+        point_spectrum=Membership.of(a.ker > 0),
+        residual_spectrum=Membership.of(a.ker == 0 and a.coker > 0),
+        continuous_spectrum=Membership.of(
+            in_sigma and a.ker == 0 and a.coker == 0),
+        ker_dim=a.ker,
         ess_left=Membership.of(not semi_left),
         ess_right=Membership.of(not semi_right),
         essential=Membership.of(not fred),
-        semi_fredholm=semi,
+        # on this class semi-Fredholm and Fredholm coincide
+        semi_fredholm=semi_left or semi_right,
         fredholm=fred,
         index=index,
-        index_stratum=stratum,
-        sigma_plus_inf=Membership.OUT,
-        sigma_minus_inf=Membership.OUT,
-        sigma0=Membership.DELEGATED,
+        index_stratum=index if (fred and index != 0) else None,
+        sigma0=Membership.of(in_sigma and not in_ws),
         weyl=Membership.of(in_ws),
-        browder=Membership.DELEGATED,
-        ascent=None,
-        descent=None,
+        browder=Membership.of(
+            not (fred and a.asc != INF and a.dsc != INF)),
+        ascent=a.asc,
+        descent=a.dsc,
     )
+    if not op.is_perturbed:
+        return cls
+    # perturbed: only the compact-perturbation invariants are exact
+    d = Membership.DELEGATED
+    return replace(cls, in_spectrum=Membership.IN if in_ws else d,
+                   point_spectrum=d, residual_spectrum=d,
+                   continuous_spectrum=d, ker_dim=None, sigma0=d, browder=d,
+                   ascent=None, descent=None)
 
 
 def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassification:
@@ -535,8 +543,3 @@ def browder_spectrum(op: StructuredOperator):
             "Browder set of a perturbed operator is delegated to the oracle")
     from .regions import spectrum_regions
     return spectrum_regions(op)["bs"]
-
-
-def spectrum_regions(op: StructuredOperator):
-    from .regions import spectrum_regions as _impl
-    return _impl(op)

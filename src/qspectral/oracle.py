@@ -8,16 +8,15 @@ recurrence attached to a weighted shift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .opmodel import (BACKWARD, ConstantFamily, GeometricFamily, Membership,
-                      ShiftTail, StructuredOperator)
+                      StructuredOperator)
 from .qmat import QMatrix, chi
 from .quat import HalfPlanePoint, Quaternion, Real, _frac
 from .spec_fd import pseudo_resolvent_chi
@@ -41,14 +40,14 @@ class TruncationReport:
     sizes: tuple[int, ...]
     min_singular_values: tuple[float, ...]
     ker_dims: tuple[int, ...]
-    adj_ker_dims: tuple[int, ...]
     verdict: str
 
     def rows(self) -> list[dict]:
+        # square compressions: the adjoint's kernel has the same dimension
         return [{"N": n, "min_singular_value": sv, "ker_dim": k,
-                 "adj_ker_dim": ak}
-                for n, sv, k, ak in zip(self.sizes, self.min_singular_values,
-                                        self.ker_dims, self.adj_ker_dims)]
+                 "adj_ker_dim": k}
+                for n, sv, k in zip(self.sizes, self.min_singular_values,
+                                    self.ker_dims)]
 
 
 # ---------------------------------------------------------------------
@@ -173,7 +172,7 @@ def _dense_singular_values(op: StructuredOperator, n: int, u: float,
 
 def cross_check(op: StructuredOperator, p: HalfPlanePoint,
                 sizes: Sequence[int] = DEFAULT_SIZES) -> TruncationReport:
-    mins, kers, adjs = [], [], []
+    mins, kers = [], []
     for n in sizes:
         if op.is_perturbed:
             sv = _dense_singular_values(op, n, float(p.u), float(p.radius_sq))
@@ -188,10 +187,8 @@ def cross_check(op: StructuredOperator, p: HalfPlanePoint,
         else:
             k = int(np.sum(sv <= KER_EST_TOL * top)) // 2
         kers.append(k)
-        adjs.append(k)  # square compression: both sides coincide
-    verdict = _verdict(mins)
     return TruncationReport(tuple(sizes), tuple(mins), tuple(kers),
-                            tuple(adjs), verdict)
+                            _verdict(mins))
 
 
 def _verdict(mins: Sequence[float]) -> str:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, RankDeficiencyError
-from .quat import ONE, ZERO, Quaternion, Real, _frac
+from .quat import ONE, ZERO, Quaternion, Real, _exact_sqrt, _frac
 
 RANK_TOL = 1e-9          # relative rank tolerance for the floating route
 # Relative min-singular-value spectral membership test.  The float route
@@ -186,9 +186,6 @@ class QMatrix:
         """Operator 2-norm, defined through chi."""
         return float(np.linalg.norm(chi(self), 2))
 
-    def to_nested_list(self) -> list[list[list[float]]]:
-        return [[e.to_list() for e in row] for row in self.entries]
-
     def __repr__(self) -> str:
         return f"QMatrix({[list(r) for r in self.entries]!r})"
 
@@ -343,13 +340,9 @@ def gram_schmidt(vectors: Sequence[QVector]) -> HilbertBasis:
         if nsq <= 1e-24:
             raise RankDeficiencyError("right-linearly dependent input vectors")
         # exact when the norm-squared is a perfect rational square
-        exact = w.norm_sq()
-        root_num = math.isqrt(exact.numerator)
-        root_den = math.isqrt(exact.denominator)
-        if root_num * root_num == exact.numerator and root_den * root_den == exact.denominator:
-            inv_norm: Real = Fraction(root_den, root_num)
-        else:
-            inv_norm = Fraction(1.0 / math.sqrt(nsq))
+        root = _exact_sqrt(w.norm_sq())
+        inv_norm = (1 / root if root is not None
+                    else Fraction(1.0 / math.sqrt(nsq)))
         out.append(w.right_mul(inv_norm))
     return HilbertBasis(out)
 
@@ -375,11 +368,3 @@ def finite_rank_op(pairs: Sequence[tuple[QVector, QVector]],
                 grid[i][j] = grid[i][j] + psi[i] * phi[j].conj()
     return QMatrix(grid)
 
-
-def from_nested_list(data) -> QMatrix:
-    """Parse a nested-array matrix literal of quaternion 4-arrays."""
-    from .quat import from_list as quat_from_list
-    try:
-        return QMatrix([[quat_from_list(e) for e in row] for row in data])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"bad matrix literal: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import DomainError
 
@@ -99,9 +99,6 @@ class Quaternion:
         """|Im q|^2, exact."""
         return self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
 
-    def is_real(self) -> bool:
-        return self.q1 == 0 and self.q2 == 0 and self.q3 == 0
-
     def is_zero(self) -> bool:
         return self.norm_sq() == 0
 
@@ -150,23 +147,6 @@ def quat(q0: Real = 0, q1: Real = 0, q2: Real = 0, q3: Real = 0) -> Quaternion:
     return Quaternion(q0, q1, q2, q3)
 
 
-def from_list(xs: Iterable[Real]) -> Quaternion:
-    xs = list(xs)
-    if len(xs) != 4:
-        raise DomainError("quaternion literal must have four components")
-    return Quaternion(*xs)
-
-
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product."""
-    return p * q
-
-
-def inverse(q: Quaternion) -> Quaternion:
-    """conj(q)/|q|^2; raises DomainError on zero input."""
-    return q.inverse()
-
-
 @dataclass(frozen=True)
 class HalfPlanePoint:
     """A similarity sphere [q] reduced to (Re q, |Im q|).
@@ -205,9 +185,6 @@ class HalfPlanePoint:
     def radius_sq(self) -> Fraction:
         """|q|^2 for any q on the sphere."""
         return self.u * self.u + self.s_sq
-
-    def is_real_point(self) -> bool:
-        return self.s_sq == 0
 
     def dist(self, other: "HalfPlanePoint") -> float:
         return math.hypot(float(self.u) - float(other.u), self.s - other.s)

@@ -13,23 +13,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .opmodel import (ConstantFamily, GeometricFamily, Membership,
-                      StructuredOperator, classify_core,
-                      geometric_sphere_indices, _rat_sqrt_ub)
+from .opmodel import (INVARIANT_SETS, SET_NAMES, ConstantFamily,
+                      GeometricFamily, Membership, StructuredOperator,
+                      classify_core, geometric_sphere_indices, _rat_sqrt_ub)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
 from .spec_fd import right_eigenspheres
 
 _SCAN_CAP = 2000
-
-INVARIANT_SETS = ("sigma_e", "sigma_el", "sigma_er", "ws",
-                  "sigma_plus_inf", "sigma_minus_inf")
-
-BASE_SETS = ("sigma_s", "sigma_ps", "sigma_rs", "sigma_cs",
-             "sigma_el", "sigma_er", "sigma_e", "sigma_0", "ws", "bs",
-             "sigma_plus_inf", "sigma_minus_inf", "iso", "acc", "pi_0")
+# frames kept per process, the oldest evicted first: enough for every
+# operator and adjoint of a few check corpora
+FRAME_CACHE_SIZE = 256
+# float distance a cell or circle representative keeps from every
+# exceptional sphere, so that the block's float kernel test cannot read a
+# nearby eigensphere as a kernel there
+REP_CLEARANCE = 1e-3
 
 
 # ---------------------------------------------------------------------
@@ -133,9 +134,6 @@ class SequencePrim:
                 "limit_included": False}
 
 
-Primitive = object
-
-
 @dataclass(frozen=True)
 class RegionSet:
     includes: tuple = ()
@@ -223,11 +221,10 @@ class Frame:
     atoms: list[Atom]
     radial_order: list[int]            # cell0, circ0, cell1, ..., cellK
     flags: list[dict]
-    set_names: list[str]
+    regions: dict[str, RegionSet] = field(default_factory=dict)
 
 
 _FRAME_CACHE: dict[StructuredOperator, Frame] = {}
-_REGION_CACHE: dict[StructuredOperator, dict[str, RegionSet]] = {}
 
 
 def _dot4(a: Quaternion, b: Quaternion) -> Fraction:
@@ -304,7 +301,7 @@ def _pick_cell_rep(lo: Optional[Fraction], hi: Optional[Fraction],
         mid = (lo + hi) / 2
     base = Fraction(math.sqrt(float(mid))).limit_denominator(10 ** 6)
     for k in range(400):
-        u = base + Fraction(k, 10 ** 7)
+        u = base + Fraction(k, 10 ** 5)
         r2 = u * u
         if lo is not None and r2 <= lo:
             continue
@@ -351,7 +348,7 @@ def build_frame(op: StructuredOperator) -> Frame:
     for _ in range(12):
         pts = list(fixed)
         for f, m0 in zip(geoms, starts):
-            pts.extend(f.sphere(m) for m in range(1, m0))
+            pts.extend(islice(f.spheres(), m0 - 1))
         pts = _dedupe(pts)
         changed = False
         for i, f in enumerate(geoms):
@@ -397,7 +394,7 @@ def build_frame(op: StructuredOperator) -> Frame:
                           host=cell_atom[_cell_index(radii, rep.radius_sq)]))
 
     def collides(p: HalfPlanePoint) -> bool:
-        if any(p == e for e in points):
+        if any(p.dist(e) < REP_CLEARANCE for e in points):
             return True
         return any(geometric_sphere_indices(f, p, m0)
                    for f, m0 in zip(geoms, starts))
@@ -412,24 +409,10 @@ def build_frame(op: StructuredOperator) -> Frame:
     strata: set[int] = set()
     for a in atoms:
         cls = classify_core(base, a.rep)
-        d = {
-            "sigma_s": cls.in_spectrum is Membership.IN,
-            "sigma_ps": cls.point_spectrum is Membership.IN,
-            "sigma_rs": cls.residual_spectrum is Membership.IN,
-            "sigma_cs": cls.continuous_spectrum is Membership.IN,
-            "sigma_el": cls.ess_left is Membership.IN,
-            "sigma_er": cls.ess_right is Membership.IN,
-            "sigma_e": cls.essential is Membership.IN,
-            "sigma_0": cls.sigma0 is Membership.IN,
-            "ws": cls.weyl is Membership.IN,
-            "bs": cls.browder is Membership.IN,
-            "sigma_plus_inf": False,
-            "sigma_minus_inf": False,
-        }
+        flags.append({name: v is Membership.IN
+                      for name, v in cls.memberships().items()})
         if cls.index_stratum is not None:
-            d[f"sigma_k:{cls.index_stratum}"] = True
             strata.add(cls.index_stratum)
-        flags.append(d)
 
     # topological flags from the frame structure
     limit_tails: dict[tuple, list[int]] = {}
@@ -455,8 +438,11 @@ def build_frame(op: StructuredOperator) -> Frame:
         d["acc"] = acc
         d["pi_0"] = iso and d["sigma_0"]
 
-    names = list(BASE_SETS) + [f"sigma_k:{k}" for k in sorted(strata)]
-    frame = Frame(base, radii, atoms, radial_order, flags, names)
+    frame = Frame(base, radii, atoms, radial_order, flags)
+    for name in SET_NAMES + tuple(f"sigma_k:{k}" for k in sorted(strata)):
+        frame.regions[name] = _build_region(frame, name)
+    if len(_FRAME_CACHE) >= FRAME_CACHE_SIZE:
+        del _FRAME_CACHE[next(iter(_FRAME_CACHE))]
     _FRAME_CACHE[base] = frame
     return frame
 
@@ -524,12 +510,7 @@ def _build_region(frame: Frame, name: str) -> RegionSet:
 
 
 def spectrum_regions(op: StructuredOperator) -> dict[str, RegionSet]:
-    base = op.unperturbed()
-    if base not in _REGION_CACHE:
-        frame = build_frame(base)
-        _REGION_CACHE[base] = {name: _build_region(frame, name)
-                               for name in frame.set_names}
-    regs = _REGION_CACHE[base]
+    regs = build_frame(op).regions
     if op.is_perturbed:
         return {k: v for k, v in regs.items()
                 if k in INVARIANT_SETS or k.startswith("sigma_k:")}
@@ -555,18 +536,13 @@ def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
             best = min(best, p.dist(lim))
             o = abs(fam.offset)
             t = float(fam.ratio) ** a.start
-            m = a.start
-            while o * t > 1e-12 and m < a.start + 400:
-                best = min(best, p.dist(fam.sphere(m)))
+            spheres = fam.spheres(a.start)
+            for _ in range(400):
+                if o * t <= 1e-12:
+                    break
+                best = min(best, p.dist(next(spheres)))
                 if o * t < best:
                     break  # remaining spheres are within best of the limit
-                m += 1
                 t *= float(fam.ratio)
     return best
 
-
-def region_atoms(op: StructuredOperator, name: str) -> frozenset[int]:
-    """Frame-atom view of a set; exact boolean algebra for tests."""
-    frame = build_frame(op)
-    return frozenset(i for i in range(len(frame.atoms))
-                     if frame.flags[i].get(name, False))

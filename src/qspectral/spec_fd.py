@@ -9,7 +9,6 @@ two routes are compared; a discrepancy is a hard failure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,9 +35,6 @@ class EigensphereSet:
     """Similarity spheres with quaternionic geometric multiplicities."""
 
     spheres: tuple[tuple[HalfPlanePoint, int], ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.spheres)
 
     def points(self) -> list[HalfPlanePoint]:
         return [p for p, _ in self.spheres]

@@ -9,7 +9,7 @@ import pytest
 from qspectral.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                            EXIT_UNSUPPORTED, EXIT_VIOLATION, main)
 from qspectral.errors import NumericalError
-from qspectral.opmodel import Membership, classify
+from qspectral.opmodel import SET_NAMES, Membership, classify
 
 
 def run(argv, classify_fn=classify):
@@ -88,6 +88,30 @@ def test_spectrum_grid_raster(shift_file):
     assert grid[0] == "u,s,sigma_s,near_boundary"
     # 7 u-steps x 4 s-steps
     assert len(grid) == 1 + 7 * 4
+
+
+def test_spectrum_grid_columns_follow_the_set_table(shift_file):
+    argv = ["spectrum", shift_file, "--grid", "3"]
+    for name in SET_NAMES:
+        argv += ["--set", name]
+    code, out = run(argv)
+    assert code == EXIT_OK
+    grid = out.split("# grid\n", 1)[1].splitlines()
+    assert grid[0].split(",") == ["u", "s", *SET_NAMES, "near_boundary"]
+    assert all(cell in ("0", "1") for row in grid[1:]
+               for cell in row.split(",")[2:])
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle", "--grid", "3"]])
+def test_spectrum_rejects_unknown_set_names(shift_file, capsys, extra):
+    for name in ("bogus", "sigma_k:", "sigma_k:x", "SIGMA_S"):
+        code, out = run(["spectrum", shift_file, "--set", name] + extra)
+        assert code == EXIT_PARSE and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(name) in err[0]
+        assert all(n in err[0] for n in SET_NAMES)
+    code, out = run(["spectrum", shift_file, "--set", "sigma_k:-2"] + extra)
+    assert code == EXIT_OK and "# set: sigma_k:-2" in out
 
 
 def test_spectrum_delegated_set_needs_oracle(perturbed_file):

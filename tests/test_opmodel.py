@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qspectral.errors import DelegatedError, DomainError
-from qspectral.opmodel import (BACKWARD, ConstantFamily, GeometricFamily,
-                               Membership, ShiftTail, StructuredOperator,
-                               browder_spectrum, classify, fredholm_index,
-                               geometric_sphere_indices, perturb,
-                               weyl_spectrum)
+from qspectral.opmodel import (BACKWARD, SET_NAMES, ConstantFamily,
+                               GeometricFamily, Membership, ShiftTail,
+                               StructuredOperator, browder_spectrum, classify,
+                               fredholm_index, geometric_sphere_indices,
+                               perturb, weyl_spectrum)
 from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
 
@@ -202,6 +202,18 @@ def test_perturbed_classification_delegates():
     assert out.in_spectrum is Membership.DELEGATED
     with pytest.raises(DelegatedError):
         bool(out.in_spectrum)
+
+
+def test_memberships_follow_the_set_table():
+    inside = classify(SHIFT, hp(HALF))        # index -2 inside the circle
+    assert list(inside.memberships()) == list(SET_NAMES) + ["sigma_k:-2"]
+    assert inside.memberships()["sigma_k:-2"] is Membership.IN
+    assert inside.memberships()["sigma_rs"] is inside.residual_spectrum
+    outside = classify(SHIFT, hp(2))
+    assert list(outside.memberships()) == list(SET_NAMES)
+    for cls in (inside, outside):
+        assert cls.memberships()["sigma_plus_inf"] is Membership.OUT
+        assert cls.memberships()["sigma_minus_inf"] is Membership.OUT
 
 
 def test_weyl_set_is_perturbation_invariant():

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
-from qspectral.opmodel import (BACKWARD, ConstantFamily, GeometricFamily,
-                               ShiftTail, StructuredOperator)
+import qspectral.regions as regions
+from qspectral.opmodel import (BACKWARD, INVARIANT_SETS, ConstantFamily,
+                               GeometricFamily, ShiftTail, StructuredOperator,
+                               perturb)
+from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
-from qspectral.regions import (boundary_distance, region_circle, region_disk,
-                               region_empty, region_point, spectrum_regions)
+from qspectral.regions import (PointPrim, RegionSet, boundary_distance,
+                               region_circle, region_disk, region_empty,
+                               region_point, spectrum_regions)
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -122,14 +126,46 @@ def test_weyl_adjoint_symmetry():
 
 
 def test_perturbed_regions_restricted_to_invariants():
-    from qspectral.opmodel import perturb
-    from qspectral.qmat import QVector
     z = QVector([Quaternion(1), Quaternion(0)])
     pert = perturb(SHIFT, [(z, z)])
     regs = spectrum_regions(pert)
     assert "sigma_s" not in regs and "bs" not in regs and "pi_0" not in regs
-    assert set(regs) >= {"sigma_e", "sigma_el", "sigma_er", "ws"}
+    assert set(regs) == set(INVARIANT_SETS) | {"sigma_k:-2"}
     assert regs["ws"].same_set(region_disk(1))
+
+
+def test_cell_representative_clears_the_block_eigensphere():
+    # the block's eigensphere 1 is the midpoint the only cell starts from;
+    # a representative 1 + 1e-7 made the float kernel test put the whole
+    # half plane into sigma_S
+    op = StructuredOperator(
+        finite_block=QMatrix([[Quaternion(1)]]),
+        diagonal_families=(ConstantFamily(Quaternion(4)),
+                           ConstantFamily(Quaternion(-1, 2, -2, 1))))
+    regs = spectrum_regions(op)
+    points = tuple(PointPrim(Fraction(u), Fraction(s_sq))
+                   for u, s_sq in ((1, 0), (4, 0), (-1, 9)))
+    assert regs["sigma_s"].same_set(RegionSet(points))
+    assert regs["sigma_ps"].same_set(regs["sigma_s"])
+    assert not regs["sigma_s"].contains(hp(-3))
+    assert not regs["sigma_s"].contains(hp(1, 1))
+    frame = regions.build_frame(op)
+    for atom in frame.atoms:
+        if atom.kind == "cell":
+            assert atom.rep.dist(hp(1)) >= regions.REP_CLEARANCE
+
+
+def test_frame_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(regions, "_FRAME_CACHE", {})
+    monkeypatch.setattr(regions, "FRAME_CACHE_SIZE", 3)
+    ops = [StructuredOperator(
+        diagonal_families=(ConstantFamily(Quaternion(k)),)) for k in range(6)]
+    for k, op in enumerate(ops):
+        frame = regions.build_frame(op)
+        assert len(regions._FRAME_CACHE) == min(k + 1, 3)
+        assert regions.build_frame(op) is frame
+    # the oldest frames went first
+    assert list(regions._FRAME_CACHE) == ops[3:]
 
 
 # -- boundary distance -------------------------------------------------
