@@ -22,8 +22,8 @@ from .opmodel import (BACKWARD, FORWARD, INVARIANT_SETS, ConstantFamily,
                       GeometricFamily, Membership, ShiftTail,
                       SpectralClassification, StructuredOperator, classify,
                       perturb)
-from .qmat import (QMatrix, QVector, adjoint, chi, gram_schmidt, kernel_basis,
-                   kernel_dim_numeric, rank)
+from .qmat import (HilbertBasis, QMatrix, QVector, adjoint, basis_vector, chi,
+                   kernel_basis, kernel_dim_numeric, rank)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
 from .regions import boundary_distance, build_frame, spectrum_regions
 from .spec_fd import asc_dsc, pseudo_resolvent_chi, right_eigenspheres
@@ -370,44 +370,39 @@ def suite_chi_homomorphism(rng: random.Random, pairs: int = 60) -> SuiteResult:
     return res
 
 
-def _dev(x: QVector, y: QVector) -> float:
-    return max(abs(float(c1 - c2))
-               for e1, e2 in zip(x.entries, y.entries)
-               for c1, c2 in zip(e1.components(), e2.components()))
+def _householder_basis(v: QVector) -> HilbertBasis:
+    """Columns of the reflector I - 2 v v^dag / |v|^2 (v nonzero): an
+    orthonormal basis with rational entries, so identities over it hold
+    exactly."""
+    scale = 2 / v.norm_sq()
+    return HilbertBasis([basis_vector(v.length, k)
+                         - v.right_mul(v[k].conj() * scale)
+                         for k in range(v.length)])
 
 
-def suite_adjoint_identities(rng: random.Random, cases: int = 25,
-                             tol: float = 1e-10) -> SuiteResult:
+def suite_adjoint_identities(rng: random.Random, cases: int = 25) -> SuiteResult:
     res = SuiteResult("adjoint_identities")
     for _ in range(cases):
         n = rng.randint(2, 3)
-        basis = None
-        for _attempt in range(10):
-            try:
-                basis = gram_schmidt([QVector([_rq(rng) for _ in range(n)])
-                                      for _ in range(n)])
+        while True:
+            v = QVector([_rq(rng) for _ in range(n)])
+            if v.norm_sq():
                 break
-            except Exception:
-                continue
-        if basis is None:
-            continue
+        basis = _householder_basis(v)
         struct = LeftMultStructure(basis)
         q, pq = _rq(rng), _rq(rng)
         a = random_matrix(rng, n)
         phi = QVector([_rq(rng) for _ in range(n)])
         psi = QVector([_rq(rng) for _ in range(n)])
         lm = lambda qq, v: left_scalar_vec(struct, qq, v)
-        ok = adjoint_identities_check(struct, q, a, tol)
-        ok = ok and _dev(lm(q, phi + psi), lm(q, phi) + lm(q, psi)) <= tol
-        ok = ok and _dev(lm(q, phi.right_mul(pq)), lm(q, phi).right_mul(pq)) <= tol
-        ok = ok and _dev(lm(q, lm(pq, phi)), lm(q * pq, phi)) <= tol
-        d_lhs = lm(q.conj(), phi).inner(psi)
-        d_rhs = phi.inner(lm(q, psi))
-        ok = ok and max(abs(float(c1 - c2)) for c1, c2 in
-                        zip(d_lhs.components(), d_rhs.components())) <= tol
+        ok = adjoint_identities_check(struct, q, a, tol=0)
+        ok = ok and lm(q, phi + psi) == lm(q, phi) + lm(q, psi)
+        ok = ok and lm(q, phi.right_mul(pq)) == lm(q, phi).right_mul(pq)
+        ok = ok and lm(q, lm(pq, phi)) == lm(q * pq, phi)
+        ok = ok and lm(q.conj(), phi).inner(psi) == phi.inner(lm(q, psi))
         r = Quaternion(Fraction(rng.randint(-3, 3)))
-        ok = ok and _dev(lm(r, phi), phi.right_mul(r)) <= tol
-        ok = ok and all(_dev(lm(q, basis[k]), basis[k].right_mul(q)) <= tol
+        ok = ok and lm(r, phi) == phi.right_mul(r)
+        ok = ok and all(lm(q, basis[k]) == basis[k].right_mul(q)
                         for k in range(n))
         res.record(ok, lambda a=a, q=q: f"left-multiplication identity failed "
                                         f"for q={q!r} on {a!r}")

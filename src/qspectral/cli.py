@@ -4,7 +4,7 @@ Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
 error (including a spec the operator classes reject, e.g. a zero geometric
 offset, and an unknown --set name), 3 unsupported request (a delegated set
 without --oracle, or any other domain or delegation error raised while
-computing, e.g. a geometric family scan that does not terminate), 4
+computing, e.g. a tail localization that does not terminate), 4
 numerical failure.  Errors 2-4 print one line on stderr.  QSPECTRAL_SEED
 overrides the corpus seed.
 A negative u may follow --point as its own argument (--point -1,0).
@@ -25,8 +25,8 @@ from .errors import NumericalError, QSpectralError, SpecFileError
 from .opmodel import SET_NAMES, Membership, StructuredOperator, classify
 from .oracle import BOUNDARY_BAND, cross_check, agreement
 from .quat import HalfPlanePoint
-from .regions import boundary_distance, spectrum_regions
-from .spec_fd import right_eigenspheres
+from .regions import boundary_distance, region_empty, spectrum_regions
+from .spec_fd import on_eigensphere, right_eigenspheres
 from .specio import OperatorSpecDocument, load_document
 
 EXIT_OK = 0
@@ -143,6 +143,9 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
     op = doc.structured
     regs = spectrum_regions(op)
     names = list(args.set) if args.set else sorted(regs)
+    # every index stratum is exact, so one the operator lacks is empty
+    regs.update({n: region_empty() for n in names
+                 if n.startswith("sigma_k:") and n not in regs})
     delegated = [n for n in names if n not in regs]
     if delegated and not args.oracle:
         print(f"error: set(s) {delegated} are unknown-delegated for this "
@@ -197,15 +200,10 @@ def cmd_classify(args, stdout, classify_fn: ClassifyFn) -> int:
     doc = load_document(args.file)
     p = _parse_point(args.point)
     if doc.matrix is not None:
-        from .spec_fd import MembershipTag, on_eigensphere, s_spectrum_membership
-        from .quat import slice_representative
-        tag = s_spectrum_membership(doc.matrix, slice_representative(p))
+        dim = on_eigensphere(doc.matrix, p)
         stdout.write(f"point: ({float(p.u)}, {p.s})\n")
-        if tag is MembershipTag.RESOLVENT:
-            stdout.write("verdict: resolvent\n")
-        else:
-            dim = on_eigensphere(doc.matrix, p)
-            stdout.write(f"verdict: sigma_pS; dim ker R_q = {dim}\n")
+        stdout.write(f"verdict: sigma_pS; dim ker R_q = {dim}\n" if dim
+                     else "verdict: resolvent\n")
         return EXIT_OK
 
     op = doc.structured

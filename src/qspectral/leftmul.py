@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatchError
-from .qmat import HilbertBasis, QMatrix, QVector, adjoint, basis_vector, chi
+from .qmat import HilbertBasis, QMatrix, QVector, adjoint, basis_vector
 from .quat import Quaternion
 
 
@@ -78,4 +76,7 @@ def _from_columns(cols: list[QVector]) -> QMatrix:
 
 
 def _max_dev(a: QMatrix, b: QMatrix) -> float:
-    return float(np.max(np.abs(chi(a) - chi(b))))
+    """Largest component of a - b, differenced exactly before rounding, so
+    that a tolerance of 0 asks for equality."""
+    return max(abs(float(c)) for row in (a - b).entries
+               for e in row for c in e.components())

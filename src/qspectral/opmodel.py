@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -22,15 +23,14 @@ import numpy as np
 from .errors import DelegatedError, DomainError
 from .qmat import (MEMBERSHIP_TOL, QMatrix, QVector, adjoint, kernel_basis,
                    kernel_dim_numeric)
-from .quat import HalfPlanePoint, Quaternion, Real, _frac, sphere_of
+from .quat import (HalfPlanePoint, Quaternion, Real, _exact_sqrt, _frac,
+                   sphere_of)
 from .spec_fd import asc_dsc, pseudo_resolvent_at, pseudo_resolvent_chi
 
 INF = math.inf
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-_GEOM_SCAN_CAP = 800
 
 
 class Membership(Enum):
@@ -87,6 +87,18 @@ class GeometricFamily:
         lim, off = self.limit, self.offset
         return Quaternion(lim.q0 + off.q0 * t, lim.q1 + off.q1 * t,
                           lim.q2 + off.q2 * t, lim.q3 + off.q3 * t)
+
+    @cached_property
+    def sphere_coeffs(self) -> tuple[Fraction, ...]:
+        """(u0, s0, u1, a, b): sphere_of(entry_at(t)) is
+        (u0 + u1*t, s0 + a*t + b*t^2) as (u, s^2).
+
+        With the ratio these rationals alone fix the sphere sequence, so
+        e.g. a family and its conjugate share them.
+        """
+        lim, off = self.limit, self.offset
+        a = 2 * (lim.q1 * off.q1 + lim.q2 * off.q2 + lim.q3 * off.q3)
+        return (lim.q0, lim.im_norm_sq(), off.q0, a, off.im_norm_sq())
 
     def sphere(self, m: int) -> HalfPlanePoint:
         return sphere_of(self.entry(m))
@@ -232,64 +244,35 @@ def perturb(op: StructuredOperator,
 # geometric-family sphere matching (exact)
 # ---------------------------------------------------------------------
 
-def _rat_sqrt_ub(x: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(x), x >= 0."""
-    if x == 0:
-        return Fraction(0)
-    r = Fraction(math.sqrt(float(x)))
-    while r * r < x:
-        r *= Fraction(1001, 1000)
-    return r
-
-
 def geometric_sphere_indices(fam: GeometricFamily, p: HalfPlanePoint,
                              start: int = 1) -> list[int]:
-    """All m >= start with sphere_of(entry(m)) == p.  Exact and finite."""
-    limit_sphere = sphere_of(fam.limit)
-    if p == limit_sphere:
-        return [m for m in _limit_sphere_hits(fam) if m >= start]
-    off_n2 = fam.offset.norm_sq()
-    s_ub = _rat_sqrt_ub(limit_sphere.s_sq)
-    o_ub = _rat_sqrt_ub(off_n2)
-    du = p.u - limit_sphere.u
-    ds2 = p.s_sq - limit_sphere.s_sq
-    hits = []
-    m = start
-    t = fam.ratio ** start
-    for _ in range(_GEOM_SCAN_CAP):
-        # no further match once the shrinking ball around the limit
-        # provably excludes p (rational comparisons only)
-        if du != 0 and du * du > off_n2 * t * t:
-            break
-        if du == 0 and abs(ds2) > 2 * s_ub * o_ub * t + off_n2 * t * t:
-            break
-        d = fam.entry_at(t)
-        if d.q0 == p.u and d.im_norm_sq() == p.s_sq:
-            hits.append(m)
-        m += 1
-        t *= fam.ratio
+    """All m >= start with sphere_of(entry(m)) == p, solved in closed form.
+
+    Solve the sphere polynomial for t, then t == ratio**m for m.
+    """
+    u0, s0, u1, a, b = fam.sphere_coeffs
+    if u1 != 0:
+        t = (p.u - u0) / u1
+        ts = [t] if s0 + a * t + b * t * t == p.s_sq else []
+    elif p.u != u0:
+        return []
     else:
-        raise DomainError("geometric family scan did not terminate")
-    return hits
-
-
-def _limit_sphere_hits(fam: GeometricFamily) -> list[int]:
-    """Indices whose entry lies on the limit sphere (entry != limit always)."""
-    if fam.offset.q0 != 0:
-        return []
-    lim, off = fam.limit, fam.offset
-    a = 2 * (lim.q1 * off.q1 + lim.q2 * off.q2 + lim.q3 * off.q3)
-    b = off.im_norm_sq()
-    # b > 0: offset is purely imaginary and nonzero
-    t_star = -Fraction(a) / b
-    if t_star <= 0 or t_star >= 1:
-        return []
-    t = fam.ratio
-    m = 1
-    while t > t_star:
-        t *= fam.ratio
-        m += 1
-    return [m] if t == t_star else []
+        # b = |Im offset|^2 > 0, as the offset is nonzero with zero real
+        # part; the limit sphere itself gives the roots 0 and -a/b
+        disc = a * a - 4 * b * (s0 - p.s_sq)
+        root = _exact_sqrt(disc) if disc >= 0 else None
+        if root is None:
+            return []
+        ts = {(-a - root) / (2 * b), (-a + root) / (2 * b)}
+    hits = []
+    for t in ts:
+        if 0 < t < 1:
+            # ratio**m is in lowest terms, so its denominator fixes m
+            m = round(math.log(t.denominator)
+                      / math.log(fam.ratio.denominator))
+            if m >= start and fam.ratio ** m == t:
+                hits.append(m)
+    return sorted(hits)
 
 
 # ---------------------------------------------------------------------

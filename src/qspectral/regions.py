@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .errors import DomainError
 from .opmodel import (INVARIANT_SETS, SET_NAMES, ConstantFamily,
                       GeometricFamily, Membership, StructuredOperator,
-                      classify_core, geometric_sphere_indices, _rat_sqrt_ub)
+                      classify_core, geometric_sphere_indices)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
 from .spec_fd import right_eigenspheres
 
@@ -120,12 +120,8 @@ class SequencePrim:
         return bool(geometric_sphere_indices(self.family, p, self.start))
 
     def key(self):
-        # the sphere sequence is determined by these rationals alone, so
-        # e.g. a family and its conjugate compare equal
-        lim, off = self.family.limit, self.family.offset
-        a = 2 * (lim.q1 * off.q1 + lim.q2 * off.q2 + lim.q3 * off.q3)
-        return ("sequence", lim.q0, lim.im_norm_sq(), off.q0, a,
-                off.im_norm_sq(), self.family.ratio, self.start)
+        return ("sequence", *self.family.sphere_coeffs, self.family.ratio,
+                self.start)
 
     def row(self) -> dict:
         p = sphere_of(self.family.limit)
@@ -242,6 +238,16 @@ def _cell_index(radii: list[Fraction], r_sq: Fraction) -> int:
     while i < len(radii) and r_sq > radii[i]:
         i += 1
     return i
+
+
+def _rat_sqrt_ub(x: Fraction) -> Fraction:
+    """Rational upper bound for sqrt(x), x >= 0."""
+    if x == 0:
+        return Fraction(0)
+    r = Fraction(math.sqrt(float(x)))
+    while r * r < x:
+        r *= Fraction(1001, 1000)
+    return r
 
 
 def _tail_start_radial(fam: GeometricFamily, radii: list[Fraction],

@@ -183,18 +183,16 @@ def s_spectrum_membership(a: QMatrix, q: Quaternion) -> MembershipTag:
     Finite dimension forces sigma_S = sigma_pS; residual/continuous tags
     cannot occur for matrices.
     """
-    p = sphere_of(q)
-    if kernel_basis(pseudo_resolvent_at(a, p)):
-        return MembershipTag.POINT
-    # floating fallback for query points that only approximate a sphere
-    sv = np.linalg.svd(pseudo_resolvent_chi(a, p), compute_uv=False)
-    if sv[-1] <= MEMBERSHIP_TOL * max(sv[0], 1.0):
+    if on_eigensphere(a, sphere_of(q)) > 0:
         return MembershipTag.POINT
     return MembershipTag.RESOLVENT
 
 
 def on_eigensphere(a: QMatrix, p: HalfPlanePoint) -> int:
-    """dim_H ker R_q(A) at a representative of p (0 off the spectrum)."""
+    """dim_H ker R_q(A) at a representative of p (0 off the spectrum).
+
+    The float fallback serves query points that only approximate a sphere.
+    """
     exact = len(kernel_basis(pseudo_resolvent_at(a, p)))
     if exact:
         return exact

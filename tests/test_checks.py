@@ -2,10 +2,17 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
-from qspectral.checks import (corpus, exemplars, run_all, suite_oracle,
+import pytest
+
+import qspectral.checks as checks
+import qspectral.leftmul as leftmul
+from qspectral.checks import (corpus, exemplars, run_all,
+                              suite_adjoint_identities, suite_oracle,
                               suite_pointwise, suite_regions)
 from qspectral.opmodel import Membership, classify
+from qspectral.quat import Quaternion
 from qspectral.specio import operator_dump
 
 
@@ -71,3 +78,20 @@ def test_region_suite_names():
     names = {r.name for r in suite_regions(exemplars()[:4])}
     assert names == {"weyl_set_identities", "browder_set_identity",
                      "weyl_adjoint_symmetry"}
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10 ** 9), Fraction(1, 10 ** 15)])
+def test_adjoint_identities_suite_detects_sabotage(monkeypatch, eps):
+    """A left product off by eps fails every case: the identities are
+    compared exactly, so even eps far below any float tolerance shows."""
+    exact = leftmul.left_scalar_vec
+
+    def off_by_eps(struct, q, phi):
+        out = exact(struct, q, phi)
+        return dataclasses.replace(
+            out, entries=(out[0] + Quaternion(eps),) + out.entries[1:])
+
+    monkeypatch.setattr(leftmul, "left_scalar_vec", off_by_eps)
+    monkeypatch.setattr(checks, "left_scalar_vec", off_by_eps)
+    res = suite_adjoint_identities(random.Random(5))
+    assert res.cases == 25 and res.failures == 25

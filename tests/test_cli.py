@@ -7,7 +7,8 @@ import json
 import pytest
 
 from qspectral.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
-                           EXIT_UNSUPPORTED, EXIT_VIOLATION, main)
+                           EXIT_UNSUPPORTED, EXIT_VIOLATION, REGION_COLUMNS,
+                           main)
 from qspectral.errors import NumericalError
 from qspectral.opmodel import SET_NAMES, Membership, classify
 
@@ -112,6 +113,17 @@ def test_spectrum_rejects_unknown_set_names(shift_file, capsys, extra):
         assert all(n in err[0] for n in SET_NAMES)
     code, out = run(["spectrum", shift_file, "--set", "sigma_k:-2"] + extra)
     assert code == EXIT_OK and "# set: sigma_k:-2" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_spectrum_absent_stratum_is_empty(shift_file, perturbed_file, extra):
+    # the weight-1 forward shift has the one stratum sigma_k:-2; strata
+    # are exact, also under a perturbation, so any other one is empty
+    for path in (shift_file, perturbed_file):
+        code, out = run(["spectrum", path, "--set", "sigma_k:5"] + extra)
+        assert code == EXIT_OK
+        assert out.splitlines() == ["# set: sigma_k:5",
+                                    ",".join(REGION_COLUMNS)]
 
 
 def test_spectrum_delegated_set_needs_oracle(perturbed_file):
@@ -243,8 +255,9 @@ def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
 
 
 def test_exit_unsupported_on_unterminated_scan(tmp_path, monkeypatch, capsys):
-    import qspectral.opmodel as opmodel
-    monkeypatch.setattr(opmodel, "_GEOM_SCAN_CAP", 2)
+    import qspectral.regions as regions
+    monkeypatch.setattr(regions, "_SCAN_CAP", 0)
+    monkeypatch.setattr(regions, "_FRAME_CACHE", {})
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({"structured": {
         "diagonal_families": [{"kind": "geometric", "limit": [0, 0, 0, 0],
@@ -253,7 +266,23 @@ def test_exit_unsupported_on_unterminated_scan(tmp_path, monkeypatch, capsys):
     code, _ = run(["classify", str(path), "--point", "1/64,0"])
     assert code == EXIT_UNSUPPORTED
     err = capsys.readouterr().err
-    assert err == "error: geometric family scan did not terminate\n"
+    assert err == "error: tail localization did not terminate\n"
+
+
+def test_classify_near_one_ratio(tmp_path):
+    # a 999/1000 family next to a shift of weight 1/2 is classified, and
+    # the oracle agrees
+    path = tmp_path / "near_one.json"
+    path.write_text(json.dumps({"structured": {
+        "diagonal_families": [{"kind": "geometric",
+                               "limit": ["2", "-1", "7/4", "0"],
+                               "offset": ["3/2", "0", "0", "0"],
+                               "ratio": "999/1000"}],
+        "shift_tails": [{"weight": "1/2", "direction": "forward"}]}}))
+    code, out = run(["classify", str(path), "--point", "3/2,5/2", "--oracle"])
+    assert code == EXIT_OK
+    assert "verdict: resolvent\n" in out
+    assert "oracle/classifier agreement: ok\n" in out
 
 
 def test_exit_numerical_failure(shift_file):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspectral.errors import DelegatedError, DomainError
 from qspectral.opmodel import (BACKWARD, SET_NAMES, ConstantFamily,
@@ -78,6 +80,46 @@ def test_geometric_limit_sphere_hit():
     assert geometric_sphere_indices(fam, HalfPlanePoint.from_s_sq(0, 1)) == [1]
     fam2 = GeometricFamily(I, J, HALF)
     assert geometric_sphere_indices(fam2, HalfPlanePoint.from_s_sq(0, 1)) == []
+
+
+def test_geometric_indices_two_roots():
+    # entries (-3/8 + 2^-m) i: m = 1 and m = 2 both sit on the sphere (0, 1/8)
+    fam = GeometricFamily(Quaternion(0, Fraction(-3, 8)), I, HALF)
+    assert geometric_sphere_indices(fam, hp(0, Fraction(1, 8))) == [1, 2]
+    assert geometric_sphere_indices(fam, hp(0, Fraction(1, 8)), start=2) == [2]
+
+
+# zero is drawn often, so that purely imaginary offsets (two roots, hits on
+# the limit sphere) and real ones (one candidate) both come up
+_COMPONENT = st.one_of(st.just(Fraction(0)),
+                       st.fractions(-3, 3, max_denominator=4))
+_QUATERNION = st.builds(Quaternion, _COMPONENT, _COMPONENT, _COMPONENT,
+                        _COMPONENT)
+_RATIO = st.fractions(0, Fraction(3, 4), max_denominator=8).filter(
+    lambda r: r > 0)
+# an index m <= 30, the limit sphere (None), or (u, s^2) with a random
+# s^2 and a random u or the u of sphere m
+_WHERE = st.one_of(st.integers(1, 30), st.none(),
+                   st.tuples(st.one_of(st.integers(1, 30),
+                                       st.fractions(-4, 4, max_denominator=8)),
+                             st.fractions(0, 9, max_denominator=16)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lim=_QUATERNION, off=_QUATERNION.filter(lambda q: not q.is_zero()),
+       ratio=_RATIO, start=st.integers(1, 4), where=_WHERE)
+def test_geometric_indices_match_an_exact_scan(lim, off, ratio, start, where):
+    fam = GeometricFamily(lim, off, ratio)
+    if isinstance(where, int):
+        p = fam.sphere(where)
+    elif where is None:
+        p = fam.limit_sphere()
+    else:
+        u, s_sq = where
+        p = HalfPlanePoint.from_s_sq(
+            fam.sphere(u).u if isinstance(u, int) else u, s_sq)
+    scan = [m for m, q in zip(range(start, 201), fam.spheres(start)) if q == p]
+    assert geometric_sphere_indices(fam, p, start) == scan
 
 
 # -- forward shift -----------------------------------------------------
