@@ -25,7 +25,8 @@ from .qmat import (MEMBERSHIP_TOL, QMatrix, QVector, adjoint, kernel_basis,
                    kernel_dim_numeric)
 from .quat import (HalfPlanePoint, Quaternion, Real, _exact_sqrt, _frac,
                    sphere_of)
-from .spec_fd import asc_dsc, pseudo_resolvent_at, pseudo_resolvent_chi
+from .spec_fd import (asc_dsc, certified_invertible, pseudo_resolvent_at,
+                      pseudo_resolvent_chi)
 
 INF = math.inf
 
@@ -290,6 +291,9 @@ class ComponentAnalysis:
 
 
 def _analyze_block(block: QMatrix, p: HalfPlanePoint) -> ComponentAnalysis:
+    # a float certificate settles most points; the rest go exact-first
+    if certified_invertible(block, p):
+        return ComponentAnalysis(0, 0, True, True, 0, 0)
     r = pseudo_resolvent_at(block, p)
     k = len(kernel_basis(r))
     if k == 0:

@@ -23,10 +23,13 @@ from .quat import ONE, ZERO, Quaternion, Real, _exact_sqrt, _frac
 RANK_TOL = 1e-9          # relative rank tolerance for the floating route
 # Relative min-singular-value spectral membership test.  The float route
 # chi(A)^2 - 2u chi(A) + rho^2 I (spec_fd.pseudo_resolvent_chi) differs
-# from chi of the exact pseudo-resolvent by about
+# from chi of the exact pseudo-resolvent by a multiple of
 # eps * (|chi A|^2 + 2|u| |chi A| + rho^2): under 1e-12 for n <= 6 and
 # components |x| <= 4 at points of the [-3, 3] x [0, 3] window, far below
-# the cutoff MEMBERSHIP_TOL * max(sigma_max, 1) >= 1e-8.
+# the cutoff MEMBERSHIP_TOL * max(sigma_max, 1) >= 1e-8.  The bound is not
+# assumed: spec_fd.certified_invertible computes it (chi_error_bound) on
+# every call, certifies a point only when bound < cutoff < sigma_min, and
+# hands every other point to the exact kernel.
 MEMBERSHIP_TOL = 1e-8
 
 

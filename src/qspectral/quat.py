@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import DomainError
@@ -176,7 +177,9 @@ class HalfPlanePoint:
         object.__setattr__(p, "s_sq", s_sq)
         return p
 
-    @property
+    # cached on the instance: s_sq can carry thousand-digit terms, and
+    # frames and distance scans read s many times per point
+    @cached_property
     def s(self) -> float:
         exact = _exact_sqrt(self.s_sq)
         return float(exact) if exact is not None else math.sqrt(float(self.s_sq))

@@ -9,6 +9,7 @@ two routes are compared; a discrepancy is a hard failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .quat import HalfPlanePoint, Quaternion, sphere_of
 EXACT_CROSS_CHECK_MAX_N = 3
 CROSS_CHECK_TOL = 1e-6
 CLUSTER_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)   # 2^-52, twice the unit roundoff
 
 
 class MembershipTag(Enum):
@@ -76,13 +78,57 @@ def pseudo_resolvent_chi(a: QMatrix, p: HalfPlanePoint) -> np.ndarray:
     """chi(R) in floating point: chi(A)^2 - 2u chi(A) + rho^2 I.
 
     For consumers that only read singular values.  It is formed from the
-    cached float pair of A, so no Fraction arithmetic runs per point; the
-    error against chi of the exact R is bounded next to MEMBERSHIP_TOL.
+    cached float pair of A, so no Fraction arithmetic runs per point.  Its
+    error against chi of the exact R is bounded by chi_error_bound, which
+    certified_invertible computes and enforces on every call.
     """
     c, c2 = a.chi_pair
     r = c2 - (2 * float(p.u)) * c
     r[np.diag_indices_from(r)] += float(p.radius_sq)
     return r
+
+
+def chi_error_bound(a: QMatrix, p: HalfPlanePoint, sigma_max: float) -> float:
+    """B >= |computed - exact| for every singular value of chi(R).
+
+    With C = chi(A), m = 2n, X = |C|_F^2 + 2|u| |C|_F + rho^2 sqrt(m) and
+    eps_u = eps/2 the unit roundoff, the first-order errors of
+    pseudo_resolvent_chi in Frobenius norm are: rounding C,
+    eps_u (2 |C|_F^2 + 2|u| |C|_F); the product C @ C,
+    sqrt(2) (m + 2) eps_u |C|_F^2; rounding 2u and scaling C by it,
+    2 eps_u 2|u| |C|_F; the subtraction, eps_u (|C|_F^2 + 2|u| |C|_F);
+    rounding rho^2 and adding it, eps_u (|C|_F^2 + 2|u| |C|_F
+    + 2 rho^2 sqrt(m)).  Their sum is at most (1.5m + 10) eps_u X, which
+    eps (m + 8) X covers with (0.5m + 6) eps_u X to spare for the
+    second-order terms.  The SVD adds its backward error, p(m) eps
+    sigma_max in LAPACK's terms, taken here as 4m eps sigma_max.  By
+    Weyl's inequality a singular value moves by at most the 2-norm of the
+    perturbation, which the Frobenius norm bounds.
+    """
+    c = a.chi_pair[0]
+    m = c.shape[0]
+    nc = float(np.linalg.norm(c))
+    x = nc * nc + 2 * abs(float(p.u)) * nc + float(p.radius_sq) * math.sqrt(m)
+    return _EPS * ((m + 8) * x + 4 * m * sigma_max)
+
+
+def certified_invertible(a: QMatrix, p: HalfPlanePoint) -> bool:
+    """True only when R = A^2 - 2uA + rho^2 I is provably invertible.
+
+    Read off the singular values sv of pseudo_resolvent_chi(a, p): True iff
+    B < cutoff < min(sv), with B = chi_error_bound and the cutoff
+    MEMBERSHIP_TOL * max(max(sv), 1) of kernel_dim_numeric.  An exact
+    kernel would give chi(R) a zero singular value, so a computed one
+    within B of 0; hence on True the exact kernel is empty, and
+    kernel_dim_numeric of the same array reads 0 too.  False decides
+    nothing: the caller runs the exact route.
+    """
+    r = pseudo_resolvent_chi(a, p)
+    if not np.isfinite(r).all():
+        return False
+    sv = np.linalg.svd(r, compute_uv=False)
+    cutoff = MEMBERSHIP_TOL * max(sv[0], 1.0)
+    return chi_error_bound(a, p, sv[0]) < cutoff < sv[-1]
 
 
 def right_eigenspheres(a: QMatrix) -> EigensphereSet:
@@ -191,8 +237,12 @@ def s_spectrum_membership(a: QMatrix, q: Quaternion) -> MembershipTag:
 def on_eigensphere(a: QMatrix, p: HalfPlanePoint) -> int:
     """dim_H ker R_q(A) at a representative of p (0 off the spectrum).
 
-    The float fallback serves query points that only approximate a sphere.
+    A certified-invertible point is 0 without the exact route; elsewhere
+    the exact kernel decides, and the float fallback serves query points
+    that only approximate a sphere.
     """
+    if certified_invertible(a, p):
+        return 0
     exact = len(kernel_basis(pseudo_resolvent_at(a, p)))
     if exact:
         return exact

@@ -1,5 +1,6 @@
 """Quaternion arithmetic against a hand-written multiplication table."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -87,6 +88,31 @@ def test_half_plane_point_irrational_radius_exact():
     b = HalfPlanePoint.from_s_sq(1, 2)
     assert a == b
     assert abs(a.s - math.sqrt(2)) < 1e-15
+
+
+def test_half_plane_point_s_cached_and_unchanged(monkeypatch):
+    # the package exports the function quat, which shadows the module
+    quat_mod = importlib.import_module("qspectral.quat")
+
+    def formula(s_sq):
+        exact = quat_mod._exact_sqrt(s_sq)
+        return float(exact) if exact is not None else math.sqrt(float(s_sq))
+
+    huge = Fraction(3 ** 600 + 1, 7 ** 300)          # irrational root
+    for s_sq in (Fraction(9, 4), Fraction(2), huge, Fraction(0)):
+        p = HalfPlanePoint.from_s_sq(Fraction(-1, 3), s_sq)
+        q = HalfPlanePoint.from_s_sq(Fraction(-1, 3), s_sq)
+        assert p.s == formula(s_sq)
+        # a read s leaves equality and hash alone
+        assert p == q and hash(p) == hash(q)
+        assert p != HalfPlanePoint.from_s_sq(0, s_sq)
+    calls = []
+    monkeypatch.setattr(quat_mod, "_exact_sqrt",
+                        lambda x: calls.append(x) or None)
+    p = HalfPlanePoint.from_s_sq(0, huge)
+    for _ in range(5):
+        p.s
+    assert len(calls) == 1
 
 
 def test_half_plane_point_rejects_negative():
