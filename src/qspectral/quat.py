@@ -177,14 +177,15 @@ class HalfPlanePoint:
         object.__setattr__(p, "s_sq", s_sq)
         return p
 
-    # cached on the instance: s_sq can carry thousand-digit terms, and
-    # frames and distance scans read s many times per point
+    # s and radius_sq are cached on the instance: s_sq can carry
+    # thousand-digit terms, and frames, distance scans and every classified
+    # point read them many times per point
     @cached_property
     def s(self) -> float:
         exact = _exact_sqrt(self.s_sq)
         return float(exact) if exact is not None else math.sqrt(float(self.s_sq))
 
-    @property
+    @cached_property
     def radius_sq(self) -> Fraction:
         """|q|^2 for any q on the sphere."""
         return self.u * self.u + self.s_sq

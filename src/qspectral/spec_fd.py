@@ -2,14 +2,21 @@
 
 The eigenvalue route goes through the complex adjoint embedding, whose
 eigenvalues occur in conjugate pairs; each pair collapses to one similarity
-sphere (u, s) in the closed half-plane.  For small rational inputs the
-characteristic polynomial of the embedding is also factored exactly and the
-two routes are compared; a discrepancy is a hard failure.
+sphere (u, s) in the closed half-plane.  Next to it, the characteristic
+polynomial p of the embedding is computed exactly for every matrix
+(``chi_charpoly``).  p has real coefficients, and R_q(A) = A^2 - 2uA +
+rho^2 I is singular exactly when the sphere's factor t^2 - 2ut + rho^2
+divides p (F. Zhang, LAA 251, 1997).  p serves three purposes: its
+coefficients are compared with those of the float eigenvalues (a
+discrepancy is a hard failure), exact division by the factor confirms a
+sphere snapped to rationals, and a squarefree p makes every sphere simple,
+of multiplicity 1, without any kernel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,7 +28,6 @@ from .qmat import (MEMBERSHIP_TOL, QMatrix, chi, kernel_basis,
                    kernel_dim_numeric, rank)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
 
-EXACT_CROSS_CHECK_MAX_N = 3
 CROSS_CHECK_TOL = 1e-6
 CLUSTER_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)   # 2^-52, twice the unit roundoff
@@ -135,7 +141,10 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
     """Eigenspheres of the right-eigenvalue problem A phi = phi q.
 
     Multiplicity is the quaternionic dimension of ker R_q(A) at a
-    representative q (geometric multiplicity).
+    representative q (geometric multiplicity).  When the characteristic
+    polynomial p of chi(A) is squarefree and the float eigenvalues fall
+    into n clusters, every sphere is simple and has multiplicity 1;
+    otherwise each multiplicity comes from the kernel of R at the sphere.
     """
     n = a.rows
     c = chi(a)
@@ -145,6 +154,8 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(eigs)):  # pragma: no cover
         raise NumericalError("eigensolver returned non-finite values")
+    poly = chi_charpoly(a)
+    _match_eigvals(poly, eigs)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     pts = sorted((float(e.real), abs(float(e.imag))) for e in eigs)
     clusters: list[list[tuple[float, float]]] = []
@@ -153,28 +164,129 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
             clusters[-1].append(pt)
         else:
             clusters.append([pt])
+    # Real roots of p have even multiplicity (p(t) = det chi(tI - A) >= 0
+    # on the real line), so a squarefree p has 2n simple non-real roots in
+    # n conjugate pairs, one pair per sphere: each sphere is a simple
+    # factor, whose kernel is one quaternionic dimension.
+    simple = len(clusters) == n and _is_squarefree(poly)
     spheres = []
     for cl in clusters:
         u = sum(p[0] for p in cl) / len(cl)
         s = sum(p[1] for p in cl) / len(cl)
-        p = _snap_sphere(a, u, s)
-        mult = max(kernel_dim_numeric(pseudo_resolvent_chi(a, p),
-                                      MEMBERSHIP_TOL),
-                   len(kernel_basis(pseudo_resolvent_at(a, p))))
-        if mult == 0:
-            # tight cluster around a genuine eigenvalue can still miss at
-            # the centroid only through float noise; count it as simple
+        p = _snap_sphere(poly, u, s)
+        if simple:
             mult = 1
+        else:
+            # each cluster approximates a root of p, so R is singular at
+            # the true sphere: a kernel that float noise hides at the
+            # centroid still counts once
+            mult = max(kernel_dim_numeric(pseudo_resolvent_chi(a, p),
+                                          MEMBERSHIP_TOL),
+                       len(kernel_basis(pseudo_resolvent_at(a, p)))) or 1
         spheres.append((p, mult))
-    result = EigensphereSet(tuple(spheres))
-    if n <= EXACT_CROSS_CHECK_MAX_N:
-        _cross_check_charpoly(a, eigs)
-    return result
+    return EigensphereSet(tuple(spheres))
 
 
-def _snap_sphere(a: QMatrix, u: float, s: float) -> HalfPlanePoint:
-    """Round a float centroid to a nearby simple rational sphere when the
-    exact kernel confirms it; otherwise keep the float point.
+def chi_charpoly(a: QMatrix) -> list[Fraction]:
+    """det(tI - chi(A)), exact, coefficients from the highest power down.
+
+    With d the common denominator of A's components, d chi(A) has
+    Gaussian-integer entries; its characteristic polynomial comes from the
+    division-free Berkowitz algorithm in Python ints, and the coefficient
+    of t^(m-k) is rescaled by d^-k.  chi(A) is similar to its complex
+    conjugate, so the coefficients are real; a non-real one is a hard
+    failure.
+    """
+    d = math.lcm(*(x.denominator for row in a.entries for q in row
+                   for x in q.components()))
+    m = 2 * a.rows
+    re = [[0] * m for _ in range(m)]
+    im = [[0] * m for _ in range(m)]
+    for i, row in enumerate(a.entries):
+        for j, q in enumerate(row):
+            x0, x1, x2, x3 = (x.numerator * (d // x.denominator)
+                              for x in q.components())
+            # the block [[z1, z2], [-conj(z2), conj(z1)]] of qmat.chi
+            re[2 * i][2 * j], im[2 * i][2 * j] = x0, x1
+            re[2 * i][2 * j + 1], im[2 * i][2 * j + 1] = x2, x3
+            re[2 * i + 1][2 * j], im[2 * i + 1][2 * j] = -x2, x3
+            re[2 * i + 1][2 * j + 1], im[2 * i + 1][2 * j + 1] = x0, -x1
+    coeffs = _berkowitz(re, im)
+    if any(y for _, y in coeffs):
+        raise NumericalError(
+            "characteristic polynomial of chi(A) has a non-real coefficient")
+    return [Fraction(x, d ** k) for k, (x, _) in enumerate(coeffs)]
+
+
+def _berkowitz(re: list[list[int]], im: list[list[int]]
+               ) -> list[tuple[int, int]]:
+    """det(tI - M) for M = re + i im, square with Gaussian-integer entries,
+    as (real, imaginary) coefficient pairs from the highest power down.
+
+    Berkowitz's algorithm, without division: with M_k the trailing block
+    from row k on, split as [[a, R], [C, A]], the coefficients of M_k are
+    the lower-triangular Toeplitz matrix with first column 1, -a, -RC,
+    -RAC, -RA^2C, ... applied to those of A.
+    """
+    m = len(re)
+    vr, vi = [1, -re[-1][-1]], [0, -im[-1][-1]]
+    for k in range(m - 2, -1, -1):
+        ar = [row[k + 1:] for row in re[k + 1:]]
+        ai = [row[k + 1:] for row in im[k + 1:]]
+        rr, ri = re[k][k + 1:], im[k][k + 1:]
+        cr = [row[k] for row in re[k + 1:]]
+        ci = [row[k] for row in im[k + 1:]]
+        tr, ti = [1, -re[k][k]], [0, -im[k][k]]
+        for step in range(m - 1 - k):
+            if step:
+                cr, ci = ([_dot(xr, cr) - _dot(xi, ci)
+                           for xr, xi in zip(ar, ai)],
+                          [_dot(xr, ci) + _dot(xi, cr)
+                           for xr, xi in zip(ar, ai)])
+            tr.append(_dot(ri, ci) - _dot(rr, cr))
+            ti.append(-_dot(rr, ci) - _dot(ri, cr))
+        size = len(vr)
+        vr, vi = ([sum(tr[i - j] * vr[j] - ti[i - j] * vi[j]
+                       for j in range(min(i + 1, size)))
+                   for i in range(size + 1)],
+                  [sum(tr[i - j] * vi[j] + ti[i - j] * vr[j]
+                       for j in range(min(i + 1, size)))
+                   for i in range(size + 1)])
+    return list(zip(vr, vi))
+
+
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(map(operator.mul, x, y))
+
+
+def _poly_rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """Remainder of f by g over Q, coefficients from the highest power
+    down, leading zeros stripped (the zero polynomial is [])."""
+    f = list(f)
+    while len(f) >= len(g):
+        c = f[0] / g[0]
+        for k in range(1, len(g)):
+            f[k] -= c * g[k]
+        f.pop(0)
+    while f and f[0] == 0:
+        f.pop(0)
+    return f
+
+
+def _is_squarefree(p: list[Fraction]) -> bool:
+    """gcd(p, p') is a constant (Euclid over Q)."""
+    m = len(p) - 1
+    f, g = p, [c * (m - k) for k, c in enumerate(p[:-1])]
+    while g:
+        f, g = g, _poly_rem(f, g)
+    return len(f) == 1
+
+
+def _snap_sphere(poly: list[Fraction], u: float, s: float) -> HalfPlanePoint:
+    """Round a float centroid to a nearby simple rational sphere when its
+    factor t^2 - 2ut + rho^2 divides the characteristic polynomial of
+    chi(A) exactly (which is when R is singular there); otherwise keep the
+    float point.
 
     Rational inputs have low-height rational (u, s^2) eigenspheres far more
     often than not, and downstream consumers compare spheres exactly.
@@ -184,7 +296,7 @@ def _snap_sphere(a: QMatrix, u: float, s: float) -> HalfPlanePoint:
     if (abs(float(cand_u) - u) < 1e-9
             and abs(float(cand_ssq) - s * s) < 1e-9):
         snapped = HalfPlanePoint.from_s_sq(cand_u, cand_ssq)
-        if kernel_basis(pseudo_resolvent_at(a, snapped)):
+        if not _poly_rem(poly, [1, -2 * snapped.u, snapped.radius_sq]):
             return snapped
     return HalfPlanePoint(Fraction(u), Fraction(s))
 
@@ -193,32 +305,22 @@ def _close(p1, p2, tol: float) -> bool:
     return abs(p1[0] - p2[0]) <= tol and abs(p1[1] - p2[1]) <= tol
 
 
-def _cross_check_charpoly(a: QMatrix, eigs: np.ndarray) -> None:
+def _match_eigvals(poly: list[Fraction], eigs: np.ndarray) -> None:
     """Exact characteristic polynomial of chi(A) vs the QR eigenvalues.
 
     Root locations of multiple roots are ill-conditioned, so the comparison
     happens on polynomial coefficients (elementary symmetric functions of
     the eigenvalues), which are stable.
     """
-    import sympy
-
-    m = sympy.Matrix(2 * a.rows, 2 * a.cols, lambda i, j: 0)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            q = a.entries[i][j]
-            z1 = sympy.Rational(q.q0) + sympy.I * sympy.Rational(q.q1)
-            z2 = sympy.Rational(q.q2) + sympy.I * sympy.Rational(q.q3)
-            m[2 * i, 2 * j] = z1
-            m[2 * i, 2 * j + 1] = z2
-            m[2 * i + 1, 2 * j] = -sympy.conjugate(z2)
-            m[2 * i + 1, 2 * j + 1] = sympy.conjugate(z1)
-    lam = sympy.symbols("lam")
-    poly = sympy.Poly(m.charpoly(lam).as_expr(), lam)
-    exact = np.array([complex(cf) for cf in poly.all_coeffs()])
+    try:
+        exact = np.array([float(c) for c in poly])
+    except OverflowError as exc:
+        raise NumericalError(
+            "characteristic polynomial coefficients overflow a float") from exc
     numeric = np.poly(eigs)
     scale = max(1.0, float(np.max(np.abs(exact))))
     dev = float(np.max(np.abs(exact - numeric)))
-    if dev > CROSS_CHECK_TOL * scale:
+    if not dev <= CROSS_CHECK_TOL * scale:
         raise NumericalError(
             f"eigensolver/charpoly coefficient discrepancy {dev:.3e}")
 

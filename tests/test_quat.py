@@ -115,6 +115,30 @@ def test_half_plane_point_s_cached_and_unchanged(monkeypatch):
     assert len(calls) == 1
 
 
+def test_half_plane_point_radius_sq_cached_and_unchanged():
+    huge = Fraction(3 ** 600 + 1, 7 ** 300)
+    for u, s_sq in ((Fraction(-1, 3), Fraction(9, 4)), (Fraction(5), huge),
+                    (Fraction(0), Fraction(0))):
+        p = HalfPlanePoint.from_s_sq(u, s_sq)
+        q = HalfPlanePoint.from_s_sq(u, s_sq)
+        assert p.radius_sq == u * u + s_sq
+        # a read radius_sq leaves equality and hash alone
+        assert p == q and hash(p) == hash(q)
+        assert p != HalfPlanePoint.from_s_sq(u + 1, s_sq)
+
+    products = []
+
+    class CountingFraction(Fraction):
+        def __mul__(self, other):
+            products.append(other)
+            return Fraction(self) * other
+
+    p = HalfPlanePoint.from_s_sq(CountingFraction(7, 2), huge)
+    reads = [p.radius_sq for _ in range(5)]
+    assert len(products) == 1
+    assert reads == [Fraction(49, 4) + huge] * 5
+
+
 def test_half_plane_point_rejects_negative():
     with pytest.raises(DomainError):
         HalfPlanePoint(0, -1)

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from qspectral.qmat import QMatrix
+import qspectral.spec_fd as spec_fd
+from qspectral.qmat import QMatrix, kernel_basis
 from qspectral.quat import HalfPlanePoint, Quaternion, slice_representative
 from qspectral.spec_fd import (MembershipTag, asc_dsc, on_eigensphere,
                                pseudo_resolvent, pseudo_resolvent_at,
@@ -101,3 +102,33 @@ def test_eigensphere_snaps_to_exact_rationals():
     (p, _mult), = right_eigenspheres(a).spheres
     assert p == HalfPlanePoint.from_s_sq(0, 1)
     assert isinstance(p.u, Fraction) and p.u == 0
+
+
+# -- repeated factors of the characteristic polynomial of chi(A) take the
+# -- kernel route ------------------------------------------------------
+
+
+def test_real_rotation_is_one_sphere_of_multiplicity_two():
+    # chi(A) has the double roots +-i: R = A^2 + I = 0 at (0, 1)
+    a = QMatrix([[Quaternion(0), Quaternion(-1)],
+                 [Quaternion(1), Quaternion(0)]])
+    assert spheres_of(a) == {(0, 1): 2}
+
+
+def test_quaternion_block_with_a_real_eigenvalue():
+    # a real root of the polynomial is always a repeated one
+    a = QMatrix([[Quaternion(2), I], [Quaternion(0), J]])
+    assert spheres_of(a) == {(2, 0): 1, (0, 1): 1}
+
+
+def test_repeated_block_takes_the_exact_kernel(monkeypatch):
+    z = Quaternion(0)
+    b = [[I, Quaternion(1), J],
+         [z, Quaternion(2), Quaternion(0, 0, 0, 1)],
+         [z, z, Quaternion(1, 0, 1)]]
+    a = QMatrix([row + [z] * 3 for row in b] + [[z] * 3 + row for row in b])
+    calls = []
+    monkeypatch.setattr(spec_fd, "kernel_basis",
+                        lambda r: calls.append(r) or kernel_basis(r))
+    assert spheres_of(a) == {(0, 1): 2, (2, 0): 2, (1, 1): 2}
+    assert len(calls) == 3
