@@ -18,15 +18,11 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import DelegatedError, DomainError
-from .qmat import (MEMBERSHIP_TOL, QMatrix, QVector, adjoint, kernel_basis,
-                   kernel_dim_numeric)
+from .qmat import QMatrix, QVector, adjoint
 from .quat import (HalfPlanePoint, Quaternion, Real, _exact_sqrt, _frac,
                    sphere_of)
-from .spec_fd import (asc_dsc, certified_invertible, pseudo_resolvent_at,
-                      pseudo_resolvent_chi)
+from .spec_fd import block_analysis
 
 INF = math.inf
 
@@ -291,37 +287,8 @@ class ComponentAnalysis:
 
 
 def _analyze_block(block: QMatrix, p: HalfPlanePoint) -> ComponentAnalysis:
-    # a float certificate settles most points; the rest go exact-first
-    if certified_invertible(block, p):
-        return ComponentAnalysis(0, 0, True, True, 0, 0)
-    r = pseudo_resolvent_at(block, p)
-    k = len(kernel_basis(r))
-    if k == 0:
-        rc = pseudo_resolvent_chi(block, p)
-        k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
-        if k == 0:
-            return ComponentAnalysis(0, 0, True, True, 0, 0)
-        m = _stabilization_numeric(rc)
-    else:
-        m = asc_dsc(r).ascent
-    return ComponentAnalysis(k, k, True, False, m, m)
-
-
-def _stabilization_numeric(c: np.ndarray) -> int:
-    """First k with rank(c^(k+1)) == rank(c^k), ranks read at MEMBERSHIP_TOL
-    from the singular values of the embedded pseudo-resolvent ``c``."""
-    n = c.shape[0]
-    ranks = [n // 2]
-    power = np.eye(n, dtype=complex)
-    for _ in range(n // 2 + 1):
-        power = power @ c
-        sv = np.linalg.svd(power, compute_uv=False)
-        top = sv[0] if sv.size else 0.0
-        rk = int(np.sum(sv > MEMBERSHIP_TOL * max(top, 1.0))) // 2 if top > 0 else 0
-        ranks.append(rk)
-        if ranks[-1] == ranks[-2]:
-            break
-    return len(ranks) - 2
+    k, m = block_analysis(block, p)
+    return ComponentAnalysis(k, k, True, k == 0, m, m)
 
 
 def _analyze_constant(fam: ConstantFamily, p: HalfPlanePoint) -> ComponentAnalysis:

@@ -10,6 +10,7 @@ q = z1 + z2*j maps to [[z1, z2], [-conj(z2), conj(z1)]].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, RankDeficiencyError
+from .errors import (DimensionMismatchError, DomainError, NumericalError,
+                     RankDeficiencyError)
 from .quat import ONE, ZERO, Quaternion, Real, _exact_sqrt, _frac
 
 RANK_TOL = 1e-9          # relative rank tolerance for the floating route
@@ -26,10 +28,10 @@ RANK_TOL = 1e-9          # relative rank tolerance for the floating route
 # from chi of the exact pseudo-resolvent by a multiple of
 # eps * (|chi A|^2 + 2|u| |chi A| + rho^2): under 1e-12 for n <= 6 and
 # components |x| <= 4 at points of the [-3, 3] x [0, 3] window, far below
-# the cutoff MEMBERSHIP_TOL * max(sigma_max, 1) >= 1e-8.  The bound is not
-# assumed: spec_fd.certified_invertible computes it (chi_error_bound) on
-# every call, certifies a point only when bound < cutoff < sigma_min, and
-# hands every other point to the exact kernel.
+# the cutoff MEMBERSHIP_TOL * max(sigma_max, 1) >= 1e-8.  Block verdicts
+# read it only at a spec_fd.FloatSphere, an eigensphere whose float root
+# could not be pinned to rationals; every rational point is decided by
+# exact division of the characteristic polynomial.
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -120,7 +122,7 @@ class QMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Quaternion:
         return self.entries[ij[0]][ij[1]]
 
-    # Both caches live on the instance (the dataclass is frozen, so the
+    # The caches live on the instance (the dataclass is frozen, so the
     # entries they derive from never change) and go with it.
     @cached_property
     def square(self) -> "QMatrix":
@@ -136,6 +138,11 @@ class QMatrix:
         c.flags.writeable = False
         c2.flags.writeable = False
         return c, c2
+
+    @cached_property
+    def charpoly(self) -> tuple[Fraction, ...]:
+        """chi_charpoly(A), formed once per matrix."""
+        return tuple(chi_charpoly(self))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -231,6 +238,83 @@ def chi(a: QMatrix) -> np.ndarray:
             out[2 * i + 1, 2 * j] = -z2.conjugate()
             out[2 * i + 1, 2 * j + 1] = z1.conjugate()
     return out
+
+
+def denominator(a: QMatrix) -> int:
+    """The common denominator of A's components."""
+    return math.lcm(*(x.denominator for row in a.entries for q in row
+                      for x in q.components()))
+
+
+def chi_charpoly(a: QMatrix) -> list[Fraction]:
+    """det(tI - chi(A)), exact, coefficients from the highest power down.
+
+    With d the common denominator of A's components, d chi(A) has
+    Gaussian-integer entries; its characteristic polynomial comes from the
+    division-free Berkowitz algorithm in Python ints, and the coefficient
+    of t^(m-k) is rescaled by d^-k.  chi(A) is similar to its complex
+    conjugate, so the coefficients are real; a non-real one is a hard
+    failure.
+    """
+    d = denominator(a)
+    m = 2 * a.rows
+    re = [[0] * m for _ in range(m)]
+    im = [[0] * m for _ in range(m)]
+    for i, row in enumerate(a.entries):
+        for j, q in enumerate(row):
+            x0, x1, x2, x3 = (x.numerator * (d // x.denominator)
+                              for x in q.components())
+            # the block [[z1, z2], [-conj(z2), conj(z1)]] of chi
+            re[2 * i][2 * j], im[2 * i][2 * j] = x0, x1
+            re[2 * i][2 * j + 1], im[2 * i][2 * j + 1] = x2, x3
+            re[2 * i + 1][2 * j], im[2 * i + 1][2 * j] = -x2, x3
+            re[2 * i + 1][2 * j + 1], im[2 * i + 1][2 * j + 1] = x0, -x1
+    coeffs = _berkowitz(re, im)
+    if any(y for _, y in coeffs):
+        raise NumericalError(
+            "characteristic polynomial of chi(A) has a non-real coefficient")
+    return [Fraction(x, d ** k) for k, (x, _) in enumerate(coeffs)]
+
+
+def _berkowitz(re: list[list[int]], im: list[list[int]]
+               ) -> list[tuple[int, int]]:
+    """det(tI - M) for M = re + i im, square with Gaussian-integer entries,
+    as (real, imaginary) coefficient pairs from the highest power down.
+
+    Berkowitz's algorithm, without division: with M_k the trailing block
+    from row k on, split as [[a, R], [C, A]], the coefficients of M_k are
+    the lower-triangular Toeplitz matrix with first column 1, -a, -RC,
+    -RAC, -RA^2C, ... applied to those of A.
+    """
+    m = len(re)
+    vr, vi = [1, -re[-1][-1]], [0, -im[-1][-1]]
+    for k in range(m - 2, -1, -1):
+        ar = [row[k + 1:] for row in re[k + 1:]]
+        ai = [row[k + 1:] for row in im[k + 1:]]
+        rr, ri = re[k][k + 1:], im[k][k + 1:]
+        cr = [row[k] for row in re[k + 1:]]
+        ci = [row[k] for row in im[k + 1:]]
+        tr, ti = [1, -re[k][k]], [0, -im[k][k]]
+        for step in range(m - 1 - k):
+            if step:
+                cr, ci = ([_dot(xr, cr) - _dot(xi, ci)
+                           for xr, xi in zip(ar, ai)],
+                          [_dot(xr, ci) + _dot(xi, cr)
+                           for xr, xi in zip(ar, ai)])
+            tr.append(_dot(ri, ci) - _dot(rr, cr))
+            ti.append(-_dot(rr, ci) - _dot(ri, cr))
+        size = len(vr)
+        vr, vi = ([sum(tr[i - j] * vr[j] - ti[i - j] * vi[j]
+                       for j in range(min(i + 1, size)))
+                   for i in range(size + 1)],
+                  [sum(tr[i - j] * vi[j] + ti[i - j] * vr[j]
+                       for j in range(min(i + 1, size)))
+                   for i in range(size + 1)])
+    return list(zip(vr, vi))
+
+
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(map(operator.mul, x, y))
 
 
 def _rref(a: QMatrix) -> tuple[list[list[Quaternion]], list[int]]:

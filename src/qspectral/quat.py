@@ -194,7 +194,7 @@ class HalfPlanePoint:
         return math.hypot(float(self.u) - float(other.u), self.s - other.s)
 
     def __repr__(self) -> str:
-        return f"HalfPlanePoint({float(self.u):g}, {self.s:g})"
+        return f"{type(self).__name__}({float(self.u):g}, {self.s:g})"
 
 
 def sphere_of(q: Quaternion) -> HalfPlanePoint:

@@ -1,36 +1,39 @@
 """Finite-dimensional S-spectrum of quaternionic matrices.
 
-The eigenvalue route goes through the complex adjoint embedding, whose
-eigenvalues occur in conjugate pairs; each pair collapses to one similarity
-sphere (u, s) in the closed half-plane.  Next to it, the characteristic
-polynomial p of the embedding is computed exactly for every matrix
-(``chi_charpoly``).  p has real coefficients, and R_q(A) = A^2 - 2uA +
-rho^2 I is singular exactly when the sphere's factor t^2 - 2ut + rho^2
-divides p (F. Zhang, LAA 251, 1997).  p serves three purposes: its
-coefficients are compared with those of the float eigenvalues (a
-discrepancy is a hard failure), exact division by the factor confirms a
-sphere snapped to rationals, and a squarefree p makes every sphere simple,
-of multiplicity 1, without any kernel.
+Everything about a block is decided from the exact characteristic
+polynomial p = det(tI - chi(A)) of its complex adjoint embedding
+(``QMatrix.charpoly``).  p has real coefficients, and R_q(A) = A^2 - 2uA
++ rho^2 I is singular exactly when the sphere's factor t^2 - 2ut + rho^2
+divides p (F. Zhang, LAA 251, 1997).  So at a rational point one exact
+division decides whether the block is invertible, and only on a sphere
+does the exact kernel run.  The eigenspheres are the roots of the
+squarefree parts of p (Yun's algorithm); the float eigenvalues of chi(A)
+are checked against p's coefficients (a discrepancy is a hard failure)
+and place each sphere whose root is not rational: such a FloatSphere is
+the one input that the float route reads.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError
-from .qmat import (MEMBERSHIP_TOL, QMatrix, chi, kernel_basis,
+from .qmat import (MEMBERSHIP_TOL, QMatrix, chi, denominator, kernel_basis,
                    kernel_dim_numeric, rank)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
 
 CROSS_CHECK_TOL = 1e-6
-CLUSTER_TOL = 1e-6
-_EPS = float(np.finfo(float).eps)   # 2^-52, twice the unit roundoff
+
+
+class FloatSphere(HalfPlanePoint):
+    """An eigensphere known only in floating point: its root of p is not
+    rational.  It equals no HalfPlanePoint, and block verdicts at it come
+    from the float pseudo-resolvent."""
 
 
 class MembershipTag(Enum):
@@ -83,10 +86,10 @@ def pseudo_resolvent_at(a: QMatrix, p: HalfPlanePoint) -> QMatrix:
 def pseudo_resolvent_chi(a: QMatrix, p: HalfPlanePoint) -> np.ndarray:
     """chi(R) in floating point: chi(A)^2 - 2u chi(A) + rho^2 I.
 
-    For consumers that only read singular values.  It is formed from the
-    cached float pair of A, so no Fraction arithmetic runs per point.  Its
-    error against chi of the exact R is bounded by chi_error_bound, which
-    certified_invertible computes and enforces on every call.
+    For consumers that only read singular values, and for block verdicts
+    at a FloatSphere.  It is formed from the cached float pair of A, so no
+    Fraction arithmetic runs per point; its error bound is stated next to
+    qmat.MEMBERSHIP_TOL.
     """
     c, c2 = a.chi_pair
     r = c2 - (2 * float(p.u)) * c
@@ -94,59 +97,16 @@ def pseudo_resolvent_chi(a: QMatrix, p: HalfPlanePoint) -> np.ndarray:
     return r
 
 
-def chi_error_bound(a: QMatrix, p: HalfPlanePoint, sigma_max: float) -> float:
-    """B >= |computed - exact| for every singular value of chi(R).
-
-    With C = chi(A), m = 2n, X = |C|_F^2 + 2|u| |C|_F + rho^2 sqrt(m) and
-    eps_u = eps/2 the unit roundoff, the first-order errors of
-    pseudo_resolvent_chi in Frobenius norm are: rounding C,
-    eps_u (2 |C|_F^2 + 2|u| |C|_F); the product C @ C,
-    sqrt(2) (m + 2) eps_u |C|_F^2; rounding 2u and scaling C by it,
-    2 eps_u 2|u| |C|_F; the subtraction, eps_u (|C|_F^2 + 2|u| |C|_F);
-    rounding rho^2 and adding it, eps_u (|C|_F^2 + 2|u| |C|_F
-    + 2 rho^2 sqrt(m)).  Their sum is at most (1.5m + 10) eps_u X, which
-    eps (m + 8) X covers with (0.5m + 6) eps_u X to spare for the
-    second-order terms.  The SVD adds its backward error, p(m) eps
-    sigma_max in LAPACK's terms, taken here as 4m eps sigma_max.  By
-    Weyl's inequality a singular value moves by at most the 2-norm of the
-    perturbation, which the Frobenius norm bounds.
-    """
-    c = a.chi_pair[0]
-    m = c.shape[0]
-    nc = float(np.linalg.norm(c))
-    x = nc * nc + 2 * abs(float(p.u)) * nc + float(p.radius_sq) * math.sqrt(m)
-    return _EPS * ((m + 8) * x + 4 * m * sigma_max)
-
-
-def certified_invertible(a: QMatrix, p: HalfPlanePoint) -> bool:
-    """True only when R = A^2 - 2uA + rho^2 I is provably invertible.
-
-    Read off the singular values sv of pseudo_resolvent_chi(a, p): True iff
-    B < cutoff < min(sv), with B = chi_error_bound and the cutoff
-    MEMBERSHIP_TOL * max(max(sv), 1) of kernel_dim_numeric.  An exact
-    kernel would give chi(R) a zero singular value, so a computed one
-    within B of 0; hence on True the exact kernel is empty, and
-    kernel_dim_numeric of the same array reads 0 too.  False decides
-    nothing: the caller runs the exact route.
-    """
-    r = pseudo_resolvent_chi(a, p)
-    if not np.isfinite(r).all():
-        return False
-    sv = np.linalg.svd(r, compute_uv=False)
-    cutoff = MEMBERSHIP_TOL * max(sv[0], 1.0)
-    return chi_error_bound(a, p, sv[0]) < cutoff < sv[-1]
-
-
 def right_eigenspheres(a: QMatrix) -> EigensphereSet:
     """Eigenspheres of the right-eigenvalue problem A phi = phi q.
 
-    Multiplicity is the quaternionic dimension of ker R_q(A) at a
-    representative q (geometric multiplicity).  When the characteristic
-    polynomial p of chi(A) is squarefree and the float eigenvalues fall
-    into n clusters, every sphere is simple and has multiplicity 1;
-    otherwise each multiplicity comes from the kernel of R at the sphere.
+    One sphere per root pair of a squarefree part f_k of p = prod f_k^k,
+    whose factor has algebraic multiplicity k (a real root, k/2).  Each
+    float eigenvalue of chi(A) goes to its nearest root, which must get
+    twice that many.  Multiplicity is dim_H ker R_q(A): 1 on a simple
+    sphere, else the exact kernel, or at a FloatSphere (shown at the
+    centroid of its eigenvalues) the float one clamped to [1, algebraic].
     """
-    n = a.rows
     c = chi(a)
     try:
         eigs = np.linalg.eigvals(c)
@@ -154,169 +114,129 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(eigs)):  # pragma: no cover
         raise NumericalError("eigensolver returned non-finite values")
-    poly = chi_charpoly(a)
+    poly = a.charpoly
     _match_eigvals(poly, eigs)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    pts = sorted((float(e.real), abs(float(e.imag))) for e in eigs)
-    clusters: list[list[tuple[float, float]]] = []
-    for pt in pts:
-        if clusters and _close(pt, clusters[-1][-1], CLUSTER_TOL * scale):
-            clusters[-1].append(pt)
-        else:
-            clusters.append([pt])
-    # Real roots of p have even multiplicity (p(t) = det chi(tI - A) >= 0
-    # on the real line), so a squarefree p has 2n simple non-real roots in
-    # n conjugate pairs, one pair per sphere: each sphere is a simple
-    # factor, whose kernel is one quaternionic dimension.
-    simple = len(clusters) == n and _is_squarefree(poly)
+    d = denominator(a)
+    roots: list[tuple[complex, int, HalfPlanePoint | None]] = []
+    for k, part in enumerate(_squarefree_parts(poly), 1):
+        for z in np.roots(_floats(part)).astype(complex):
+            if z.imag >= 0:
+                roots.append((z, k * (2 if z.imag > 0 else 1),
+                              _rational_sphere(part, z, d)))
+    groups: dict[int, list[tuple[float, float]]] = {}
+    for pt in sorted((float(e.real), abs(float(e.imag))) for e in eigs):
+        near = min(range(len(roots)),
+                   key=lambda i: abs(complex(*pt) - roots[i][0]))
+        groups.setdefault(near, []).append(pt)
     spheres = []
-    for cl in clusters:
-        u = sum(p[0] for p in cl) / len(cl)
-        s = sum(p[1] for p in cl) / len(cl)
-        p = _snap_sphere(poly, u, s)
-        if simple:
+    for i, pts in groups.items():
+        _, count, p = roots[i]
+        if len(pts) != count or count % 2:
+            raise NumericalError(
+                f"{len(pts)} eigenvalues of chi(A) at a root of "
+                f"multiplicity {count} of its characteristic polynomial")
+        if p is None:
+            p = FloatSphere(Fraction(sum(x[0] for x in pts) / count),
+                            Fraction(sum(x[1] for x in pts) / count))
+        alg = count // 2
+        if alg == 1:
             mult = 1
+        elif isinstance(p, FloatSphere):
+            mult = min(max(kernel_dim_numeric(pseudo_resolvent_chi(a, p)),
+                           1), alg)
         else:
-            # each cluster approximates a root of p, so R is singular at
-            # the true sphere: a kernel that float noise hides at the
-            # centroid still counts once
-            mult = max(kernel_dim_numeric(pseudo_resolvent_chi(a, p),
-                                          MEMBERSHIP_TOL),
-                       len(kernel_basis(pseudo_resolvent_at(a, p)))) or 1
+            mult = len(kernel_basis(pseudo_resolvent_at(a, p)))
         spheres.append((p, mult))
+    # the counts of all roots sum to 2n, so every root got its eigenvalues
     return EigensphereSet(tuple(spheres))
 
 
-def chi_charpoly(a: QMatrix) -> list[Fraction]:
-    """det(tI - chi(A)), exact, coefficients from the highest power down.
+def _rational_sphere(part: list[Fraction], z: complex,
+                     d: int) -> HalfPlanePoint | None:
+    """The rational sphere at the float root z of ``part``, or None.
 
-    With d the common denominator of A's components, d chi(A) has
-    Gaussian-integer entries; its characteristic polynomial comes from the
-    division-free Berkowitz algorithm in Python ints, and the coefficient
-    of t^(m-k) is rescaled by d^-k.  chi(A) is similar to its complex
-    conjugate, so the coefficients are real; a non-real one is a hard
-    failure.
+    d chi(A) has a monic integer characteristic polynomial, so by Gauss's
+    lemma a rational factor of it has integer coefficients: 2du and
+    d^2 rho^2 for a root pair, du for a real root.  They are rounded from
+    z and confirmed by exact division.
     """
-    d = math.lcm(*(x.denominator for row in a.entries for q in row
-                   for x in q.components()))
-    m = 2 * a.rows
-    re = [[0] * m for _ in range(m)]
-    im = [[0] * m for _ in range(m)]
-    for i, row in enumerate(a.entries):
-        for j, q in enumerate(row):
-            x0, x1, x2, x3 = (x.numerator * (d // x.denominator)
-                              for x in q.components())
-            # the block [[z1, z2], [-conj(z2), conj(z1)]] of qmat.chi
-            re[2 * i][2 * j], im[2 * i][2 * j] = x0, x1
-            re[2 * i][2 * j + 1], im[2 * i][2 * j + 1] = x2, x3
-            re[2 * i + 1][2 * j], im[2 * i + 1][2 * j] = -x2, x3
-            re[2 * i + 1][2 * j + 1], im[2 * i + 1][2 * j + 1] = x0, -x1
-    coeffs = _berkowitz(re, im)
-    if any(y for _, y in coeffs):
-        raise NumericalError(
-            "characteristic polynomial of chi(A) has a non-real coefficient")
-    return [Fraction(x, d ** k) for k, (x, _) in enumerate(coeffs)]
+    u = Fraction(round(2 * d * Fraction(z.real)), 2 * d)
+    if z.imag == 0:
+        return None if _poly_rem(part, (1, -u)) else HalfPlanePoint(u, 0)
+    rho_sq = Fraction(round(d * d * (Fraction(z.real) ** 2
+                                     + Fraction(z.imag) ** 2)), d * d)
+    if rho_sq > u * u and not _poly_rem(part, (1, -2 * u, rho_sq)):
+        return HalfPlanePoint.from_s_sq(u, rho_sq - u * u)
+    return None
 
 
-def _berkowitz(re: list[list[int]], im: list[list[int]]
-               ) -> list[tuple[int, int]]:
-    """det(tI - M) for M = re + i im, square with Gaussian-integer entries,
-    as (real, imaginary) coefficient pairs from the highest power down.
-
-    Berkowitz's algorithm, without division: with M_k the trailing block
-    from row k on, split as [[a, R], [C, A]], the coefficients of M_k are
-    the lower-triangular Toeplitz matrix with first column 1, -a, -RC,
-    -RAC, -RA^2C, ... applied to those of A.
-    """
-    m = len(re)
-    vr, vi = [1, -re[-1][-1]], [0, -im[-1][-1]]
-    for k in range(m - 2, -1, -1):
-        ar = [row[k + 1:] for row in re[k + 1:]]
-        ai = [row[k + 1:] for row in im[k + 1:]]
-        rr, ri = re[k][k + 1:], im[k][k + 1:]
-        cr = [row[k] for row in re[k + 1:]]
-        ci = [row[k] for row in im[k + 1:]]
-        tr, ti = [1, -re[k][k]], [0, -im[k][k]]
-        for step in range(m - 1 - k):
-            if step:
-                cr, ci = ([_dot(xr, cr) - _dot(xi, ci)
-                           for xr, xi in zip(ar, ai)],
-                          [_dot(xr, ci) + _dot(xi, cr)
-                           for xr, xi in zip(ar, ai)])
-            tr.append(_dot(ri, ci) - _dot(rr, cr))
-            ti.append(-_dot(rr, ci) - _dot(ri, cr))
-        size = len(vr)
-        vr, vi = ([sum(tr[i - j] * vr[j] - ti[i - j] * vi[j]
-                       for j in range(min(i + 1, size)))
-                   for i in range(size + 1)],
-                  [sum(tr[i - j] * vi[j] + ti[i - j] * vr[j]
-                       for j in range(min(i + 1, size)))
-                   for i in range(size + 1)])
-    return list(zip(vr, vi))
-
-
-def _dot(x: list[int], y: list[int]) -> int:
-    return sum(map(operator.mul, x, y))
-
-
-def _poly_rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Remainder of f by g over Q, coefficients from the highest power
-    down, leading zeros stripped (the zero polynomial is [])."""
-    f = list(f)
+def _poly_divmod(f: Sequence[Fraction], g: Sequence[Fraction]
+                 ) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by g over Q, coefficients from the
+    highest power down, leading zeros of the remainder stripped (the zero
+    polynomial is [])."""
+    f, quo = list(f), []
     while len(f) >= len(g):
         c = f[0] / g[0]
+        quo.append(c)
         for k in range(1, len(g)):
             f[k] -= c * g[k]
         f.pop(0)
     while f and f[0] == 0:
         f.pop(0)
-    return f
+    return quo, f
 
 
-def _is_squarefree(p: list[Fraction]) -> bool:
-    """gcd(p, p') is a constant (Euclid over Q)."""
-    m = len(p) - 1
-    f, g = p, [c * (m - k) for k, c in enumerate(p[:-1])]
+def _poly_rem(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
+    return _poly_divmod(f, g)[1]
+
+
+def _poly_gcd(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
+    """Monic gcd over Q (Euclid)."""
     while g:
         f, g = g, _poly_rem(f, g)
-    return len(f) == 1
+    return [c / f[0] for c in f]
 
 
-def _snap_sphere(poly: list[Fraction], u: float, s: float) -> HalfPlanePoint:
-    """Round a float centroid to a nearby simple rational sphere when its
-    factor t^2 - 2ut + rho^2 divides the characteristic polynomial of
-    chi(A) exactly (which is when R is singular there); otherwise keep the
-    float point.
+def _derivative(f: Sequence[Fraction]) -> list[Fraction]:
+    m = len(f) - 1
+    return [c * (m - k) for k, c in enumerate(f[:-1])]
 
-    Rational inputs have low-height rational (u, s^2) eigenspheres far more
-    often than not, and downstream consumers compare spheres exactly.
+
+def _squarefree_parts(p: Sequence[Fraction]) -> list[list[Fraction]]:
+    """[f_1, f_2, ...], monic and pairwise coprime, with p = prod f_k^k
+    for a monic p (Yun's algorithm).
+
+    e = c - b' is either zero or of degree exactly deg b - 1 (its leading
+    coefficient is lc(b) sum_(j>k) (j - k) deg f_j), so c and b' align.
     """
-    cand_u = Fraction(u).limit_denominator(10 ** 6)
-    cand_ssq = Fraction(s * s).limit_denominator(10 ** 6)
-    if (abs(float(cand_u) - u) < 1e-9
-            and abs(float(cand_ssq) - s * s) < 1e-9):
-        snapped = HalfPlanePoint.from_s_sq(cand_u, cand_ssq)
-        if not _poly_rem(poly, [1, -2 * snapped.u, snapped.radius_sq]):
-            return snapped
-    return HalfPlanePoint(Fraction(u), Fraction(s))
+    dp = _derivative(p)
+    g = _poly_gcd(p, dp)
+    b, c = _poly_divmod(p, g)[0], _poly_divmod(dp, g)[0]
+    parts = []
+    while len(b) > 1:
+        e = [x - y for x, y in zip(c, _derivative(b))]
+        parts.append(_poly_gcd(b, e if any(e) else []))
+        b, c = _poly_divmod(b, parts[-1])[0], _poly_divmod(e, parts[-1])[0]
+    return parts
 
 
-def _close(p1, p2, tol: float) -> bool:
-    return abs(p1[0] - p2[0]) <= tol and abs(p1[1] - p2[1]) <= tol
+def _floats(poly: Sequence[Fraction]) -> np.ndarray:
+    try:
+        return np.array([float(c) for c in poly])
+    except OverflowError as exc:
+        raise NumericalError(
+            "characteristic polynomial coefficients overflow a float") from exc
 
 
-def _match_eigvals(poly: list[Fraction], eigs: np.ndarray) -> None:
+def _match_eigvals(poly: Sequence[Fraction], eigs: np.ndarray) -> None:
     """Exact characteristic polynomial of chi(A) vs the QR eigenvalues.
 
     Root locations of multiple roots are ill-conditioned, so the comparison
     happens on polynomial coefficients (elementary symmetric functions of
     the eigenvalues), which are stable.
     """
-    try:
-        exact = np.array([float(c) for c in poly])
-    except OverflowError as exc:
-        raise NumericalError(
-            "characteristic polynomial coefficients overflow a float") from exc
+    exact = _floats(poly)
     numeric = np.poly(eigs)
     scale = max(1.0, float(np.max(np.abs(exact))))
     dev = float(np.max(np.abs(exact - numeric)))
@@ -337,18 +257,44 @@ def s_spectrum_membership(a: QMatrix, q: Quaternion) -> MembershipTag:
 
 
 def on_eigensphere(a: QMatrix, p: HalfPlanePoint) -> int:
-    """dim_H ker R_q(A) at a representative of p (0 off the spectrum).
+    """dim_H ker R_q(A) at a representative of p (0 off the spectrum)."""
+    return block_analysis(a, p)[0]
 
-    A certified-invertible point is 0 without the exact route; elsewhere
-    the exact kernel decides, and the float fallback serves query points
-    that only approximate a sphere.
+
+def block_analysis(a: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
+    """(dim_H ker R, ascent of R) for R = R_q(A) at the sphere p.
+
+    At a rational point R is invertible, (0, 0), unless the sphere's
+    factor divides p; real roots of p have even multiplicity, so this
+    holds at s = 0 too.  On a rational sphere the exact kernel and the
+    exact power-rank chain decide.  At a FloatSphere both are read from
+    the singular values of the float pseudo-resolvent at MEMBERSHIP_TOL.
     """
-    if certified_invertible(a, p):
-        return 0
-    exact = len(kernel_basis(pseudo_resolvent_at(a, p)))
-    if exact:
-        return exact
-    return kernel_dim_numeric(pseudo_resolvent_chi(a, p), MEMBERSHIP_TOL)
+    if isinstance(p, FloatSphere):
+        rc = pseudo_resolvent_chi(a, p)
+        k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
+        return (k, _stabilization_numeric(rc)) if k else (0, 0)
+    if _poly_rem(a.charpoly, (1, -2 * p.u, p.radius_sq)):
+        return 0, 0
+    r = pseudo_resolvent_at(a, p)
+    return len(kernel_basis(r)), asc_dsc(r).ascent
+
+
+def _stabilization_numeric(c: np.ndarray) -> int:
+    """First k with rank(c^(k+1)) == rank(c^k), ranks read at MEMBERSHIP_TOL
+    from the singular values of the embedded pseudo-resolvent ``c``."""
+    n = c.shape[0]
+    ranks = [n // 2]
+    power = np.eye(n, dtype=complex)
+    for _ in range(n // 2 + 1):
+        power = power @ c
+        sv = np.linalg.svd(power, compute_uv=False)
+        top = sv[0] if sv.size else 0.0
+        rk = int(np.sum(sv > MEMBERSHIP_TOL * max(top, 1.0))) // 2 if top > 0 else 0
+        ranks.append(rk)
+        if ranks[-1] == ranks[-2]:
+            break
+    return len(ranks) - 2
 
 
 def asc_dsc(a: QMatrix) -> AscDescReport:

@@ -1,7 +1,8 @@
-"""The float invertibility certificate in front of the exact kernel route:
-the gated block analysis and on_eigensphere must equal the exact-first
-route everywhere, and a certificate that cannot prove invertibility must
-leave the exact route to decide."""
+"""The division route of the block analysis: block_analysis, and through it
+the block part of the classifier and on_eigensphere, must equal the exact
+kernel and power-rank ascent at every rational point and the float route at
+a FloatSphere; a wrong divisor must fail the comparison, and a point off
+the spectrum must run no exact kernel."""
 
 from fractions import Fraction
 
@@ -10,54 +11,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qspectral.opmodel as opmodel
 import qspectral.spec_fd as spec_fd
-from qspectral.opmodel import (ComponentAnalysis, _analyze_block,
-                               _stabilization_numeric)
+from qspectral.opmodel import ComponentAnalysis, _analyze_block
 from qspectral.qmat import (MEMBERSHIP_TOL, QMatrix, kernel_basis,
                             kernel_dim_numeric)
 from qspectral.quat import HalfPlanePoint, Quaternion
-from qspectral.spec_fd import (asc_dsc, certified_invertible, chi_error_bound,
-                               on_eigensphere, pseudo_resolvent_at,
+from qspectral.spec_fd import (FloatSphere, _poly_rem, _stabilization_numeric,
+                               asc_dsc, on_eigensphere, pseudo_resolvent_at,
                                pseudo_resolvent_chi, right_eigenspheres)
 
-# -- the exact-first route, as it ran before the certificate ------------
+INVERTIBLE = ComponentAnalysis(0, 0, True, True, 0, 0)
 
 
-def _reference_block(block: QMatrix, p: HalfPlanePoint) -> ComponentAnalysis:
-    r = pseudo_resolvent_at(block, p)
-    k = len(kernel_basis(r))
-    if k == 0:
+# -- the reference: exact kernel and ascent, float route at a FloatSphere --
+
+
+def _reference(block: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
+    if isinstance(p, FloatSphere):
         rc = pseudo_resolvent_chi(block, p)
         k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
-        if k == 0:
-            return ComponentAnalysis(0, 0, True, True, 0, 0)
-        m = _stabilization_numeric(rc)
-    else:
-        m = asc_dsc(r).ascent
-    return ComponentAnalysis(k, k, True, False, m, m)
-
-
-def _reference_on_eigensphere(a: QMatrix, p: HalfPlanePoint) -> int:
-    exact = len(kernel_basis(pseudo_resolvent_at(a, p)))
-    if exact:
-        return exact
-    return kernel_dim_numeric(pseudo_resolvent_chi(a, p), MEMBERSHIP_TOL)
+        return (k, _stabilization_numeric(rc)) if k else (0, 0)
+    r = pseudo_resolvent_at(block, p)
+    k = len(kernel_basis(r))
+    return (k, asc_dsc(r).ascent) if k else (0, 0)
 
 
 def _assert_routes_agree(block: QMatrix, p: HalfPlanePoint) -> None:
-    assert _analyze_block(block, p) == _reference_block(block, p), (block, p)
-    assert on_eigensphere(block, p) == _reference_on_eigensphere(block, p)
+    k, m = _reference(block, p)
+    assert _analyze_block(block, p) == ComponentAnalysis(
+        k, k, True, k == 0, m, m), (block, p)
+    assert on_eigensphere(block, p) == k
 
 
 def _points(block: QMatrix, extra: HalfPlanePoint):
-    """``extra``, then every eigensphere of ``block`` and a point within
-    1e-12 of each (in u or in s^2 by turns), where the float fallback
-    decides."""
+    """``extra``, then every eigensphere of ``block``, the rational point
+    at its coordinates, and a rational point within 1e-12 of it (in u or
+    in s^2 by turns), which is off the spectrum unless it lies on a
+    rational sphere."""
     yield extra
     tiny = Fraction(1, 10 ** 12)
     for k, (p, _) in enumerate(right_eigenspheres(block).spheres):
         yield p
+        yield HalfPlanePoint.from_s_sq(p.u, p.s_sq)
         if k % 2:
             yield HalfPlanePoint.from_s_sq(p.u, p.s_sq + tiny)
         else:
@@ -95,18 +90,18 @@ def test_gated_routes_equal_exact_first(block, extra):
         _assert_routes_agree(block, p)
 
 
-def _ignores_sigma_min(a: QMatrix, p: HalfPlanePoint) -> bool:
-    sv = np.linalg.svd(pseudo_resolvent_chi(a, p), compute_uv=False)
-    return chi_error_bound(a, p, sv[0]) < MEMBERSHIP_TOL * max(sv[0], 1.0)
+def _wrong_factor(f, g):
+    """Division by the sphere factor with rho^2 + 1/1000 for rho^2."""
+    return _poly_rem(f, list(g[:-1]) + [g[-1] + Fraction(1, 1000)])
 
 
-def test_certificate_ignoring_sigma_min_fails_the_comparison(monkeypatch):
-    monkeypatch.setattr(spec_fd, "certified_invertible", _ignores_sigma_min)
-    monkeypatch.setattr(opmodel, "certified_invertible", _ignores_sigma_min)
+def test_division_by_a_wrong_factor_fails_the_comparison(monkeypatch):
     j = Quaternion(0, 0, 1)
     block = QMatrix([[j, Quaternion(1)], [Quaternion(0), Quaternion(0, 1)]])
+    points = list(_points(block, HalfPlanePoint(3, 0)))
+    monkeypatch.setattr(spec_fd, "_poly_rem", _wrong_factor)
     with pytest.raises(AssertionError):
-        for p in _points(block, HalfPlanePoint(3, 0)):
+        for p in points:
             _assert_routes_agree(block, p)
 
 
@@ -120,26 +115,23 @@ def _count_kernel_basis(monkeypatch):
         calls.append(r)
         return kernel_basis(r)
 
-    monkeypatch.setattr(opmodel, "kernel_basis", counting)
     monkeypatch.setattr(spec_fd, "kernel_basis", counting)
     return calls
 
 
-def test_certified_point_skips_the_exact_route(monkeypatch):
+def test_point_off_the_spectrum_skips_the_exact_route(monkeypatch):
     block = QMatrix([[Quaternion(1, 2), Quaternion(0, 0, 1)],
                      [Quaternion(3), Quaternion(0, 0, 0, 1)]])
     p = HalfPlanePoint(Fraction(-5, 2), Fraction(1, 3))
-    assert certified_invertible(block, p)
     calls = _count_kernel_basis(monkeypatch)
-    invertible = ComponentAnalysis(0, 0, True, True, 0, 0)
-    assert _analyze_block(block, p) == invertible
+    assert _analyze_block(block, p) == INVERTIBLE
     assert on_eigensphere(block, p) == 0
     assert calls == []
 
 
-def test_cancellation_falls_back_to_the_exact_route(monkeypatch):
-    # R = (A - u)^2 = diag(1/4, 1/4) cancels entries of order 10^8: the
-    # float error bound exceeds the cutoff although sigma_min does not
+def test_cancellation_reads_resolvent_without_a_kernel(monkeypatch):
+    # R = (A - u)^2 = diag(1/4, 1/4) cancels entries of order 10^8, which
+    # the float pseudo-resolvent cannot resolve; the division is exact
     big = Fraction(10 ** 4)
     block = QMatrix([[Quaternion(big), Quaternion(0)],
                      [Quaternion(0), Quaternion(big + 1)]])
@@ -147,22 +139,18 @@ def test_cancellation_falls_back_to_the_exact_route(monkeypatch):
     assert pseudo_resolvent_at(block, p) == QMatrix(
         [[Quaternion(Fraction(1, 4)), Quaternion(0)],
          [Quaternion(0), Quaternion(Fraction(1, 4))]])
-    sv = np.linalg.svd(pseudo_resolvent_chi(block, p), compute_uv=False)
-    cutoff = MEMBERSHIP_TOL * max(sv[0], 1.0)
-    assert chi_error_bound(block, p, sv[0]) >= cutoff and sv[-1] > cutoff
-    assert not certified_invertible(block, p)
-
     calls = _count_kernel_basis(monkeypatch)
-    analysis = _analyze_block(block, p)
-    assert len(calls) == 1
-    assert analysis == ComponentAnalysis(0, 0, True, True, 0, 0)
+    assert _analyze_block(block, p) == INVERTIBLE
     assert on_eigensphere(block, p) == 0
-    assert len(calls) == 2
-    monkeypatch.undo()
-    assert analysis == _reference_block(block, p)
+    assert calls == []
 
 
-def test_certificate_declines_non_finite_embeddings():
-    block = QMatrix([[Quaternion(Fraction(10) ** 200)]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not certified_invertible(block, HalfPlanePoint(0, 1))
+def test_non_finite_embedding_answers_exactly():
+    # chi(A)^2 overflows a float, so no float step may run
+    big = Fraction(10) ** 200
+    block = QMatrix([[Quaternion(big)]])
+    with np.errstate(all="raise"):
+        assert on_eigensphere(block, HalfPlanePoint(0, 1)) == 0
+        assert on_eigensphere(block, HalfPlanePoint(big, 0)) == 1
+        assert _analyze_block(block, HalfPlanePoint(big, 0)) == \
+            ComponentAnalysis(1, 1, True, False, 1, 1)

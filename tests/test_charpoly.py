@@ -1,7 +1,8 @@
-"""Eigensphere multiplicities from the exact characteristic polynomial of
-chi(A): the spheres and multiplicities must equal the snap-and-kernel route
-they replace, the polynomial must be real and annihilate chi(A), and a
-wrong polynomial must be a hard failure."""
+"""Eigenspheres from the squarefree parts of the exact characteristic
+polynomial of chi(A): spheres and multiplicities must equal the clustering
+snap-and-kernel route they replace wherever that route was right, the
+polynomial must be real and annihilate chi(A), and a wrong polynomial must
+be a hard failure."""
 
 import json
 import os
@@ -16,16 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qspectral.qmat as qmat
 import qspectral.spec_fd as spec_fd
 from qspectral.cli import EXIT_NUMERICAL, main
 from qspectral.errors import NumericalError
-from qspectral.qmat import (MEMBERSHIP_TOL, QMatrix, chi, kernel_basis,
-                            kernel_dim_numeric)
+from qspectral.qmat import (MEMBERSHIP_TOL, QMatrix, chi, chi_charpoly,
+                            kernel_basis, kernel_dim_numeric)
 from qspectral.quat import HalfPlanePoint, Quaternion
-from qspectral.spec_fd import (CLUSTER_TOL, chi_charpoly, pseudo_resolvent_at,
+from qspectral.spec_fd import (on_eigensphere, pseudo_resolvent_at,
                                pseudo_resolvent_chi, right_eigenspheres)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CLUSTER_TOL = 1e-6
 
 # -- the snap-and-kernel route, as it ran before the polynomial ----------
 
@@ -63,6 +66,12 @@ def _reference_spheres(a: QMatrix):
                    len(kernel_basis(pseudo_resolvent_at(a, p))))
         spheres.append((p, mult or 1))
     return tuple(spheres)
+
+
+def _keys(spheres):
+    """(u, s^2, multiplicity) per sphere: a FloatSphere equals no
+    HalfPlanePoint by design, so spheres compare by their coordinates."""
+    return [(p.u, p.s_sq, m) for p, m in spheres]
 
 
 # -- d chi(A) over the Gaussian integers, as (re, im) pairs --------------
@@ -115,6 +124,14 @@ def _faddeev_leverrier(x):
     return coeffs
 
 
+def _polymul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
 def _evaluate_at(poly, x):
     """poly(X) by Horner's rule, for integer coefficients."""
     m = len(x)
@@ -148,7 +165,11 @@ def _blocks(draw):
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(a=_blocks())
 def test_charpoly_route_equals_snap_and_kernel_route(a):
-    assert right_eigenspheres(a).spheres == _reference_spheres(a)
+    # the old route split a sphere whose eigenvalues straddle another
+    # sphere's u into clusters that snapped to the same rational sphere;
+    # its repeated rows are merged
+    old = list(dict.fromkeys(_keys(_reference_spheres(a))))
+    assert _keys(right_eigenspheres(a).spheres) == old
 
     # the polynomial of d chi(A) is d^k c_k at t^(m-k), c_k those of chi(A)
     poly = chi_charpoly(a)
@@ -161,11 +182,20 @@ def test_charpoly_route_equals_snap_and_kernel_route(a):
     assert all(c.denominator == 1 for c in scaled)
     assert all(e == (0, 0) for row in _evaluate_at(scaled, x) for e in row)
 
+    # Yun: p = prod f_k^k, each part monic and squarefree
+    product = [1]
+    for k, part in enumerate(spec_fd._squarefree_parts(poly), 1):
+        assert part[0] == 1
+        assert spec_fd._poly_gcd(part, spec_fd._derivative(part)) == [1]
+        for _ in range(k):
+            product = _polymul(product, part)
+    assert product == poly
+
 
 def test_defective_block_keeps_the_kernel_route(monkeypatch):
-    # S N S^-1 with N the nilpotent 3x3 Jordan block: p = t^6 exactly, but
-    # rounding spreads the six float eigenvalues by about eps^(1/3), so the
-    # clusters can number n although p is not squarefree
+    # S N S^-1 with N the nilpotent 3x3 Jordan block: p = t^6 exactly, so
+    # there is one sphere (0, 0), although rounding spreads the six float
+    # eigenvalues by about eps^(1/3) (clustering read three spheres there)
     a = QMatrix([[Quaternion(x) for x in row] for row in (
         (Fraction(-83, 18), Fraction(-211, 72), Fraction(31, 288)),
         (Fraction(22, 3), Fraction(14, 3), Fraction(-1, 6)),
@@ -174,18 +204,23 @@ def test_defective_block_keeps_the_kernel_route(monkeypatch):
     calls = []
     monkeypatch.setattr(spec_fd, "kernel_basis",
                         lambda r: calls.append(r) or kernel_basis(r))
-    assert right_eigenspheres(a).spheres == _reference_spheres(a)
+    # the multiplicity is exact: dim ker R at (0, 0), R = A^2
+    assert len(kernel_basis(a @ a)) == 2
+    assert right_eigenspheres(a).spheres == ((HalfPlanePoint(0, 0), 2),)
     assert calls
 
 
 def test_merged_spheres_keep_the_kernel_route():
-    # p is squarefree, but the spheres (0, 1) and (0, 1 + 2e-9) fall into
-    # one cluster, so the multiplicity comes from the kernels
+    # p is squarefree, so the spheres (0, 1) and (0, 1 + 2e-9) are two
+    # simple ones, although clustering merged them into one; on_eigensphere
+    # reads the exact kernel at the rational sphere (0, 1)
     a = QMatrix([[Quaternion(0, 1), Quaternion(0)],
                  [Quaternion(0), Quaternion(0, 1 + Fraction(2, 10 ** 9))]])
     spheres = right_eigenspheres(a).spheres
-    assert len(spheres) == 1
-    assert spheres == _reference_spheres(a)
+    assert [m for _, m in spheres] == [1, 1]
+    assert all(p.u == 0 for p, _ in spheres)
+    assert spheres[0][0].s < spheres[1][0].s
+    assert on_eigensphere(a, HalfPlanePoint(0, 1)) == 1
 
 
 # -- a wrong polynomial is a hard failure --------------------------------
@@ -195,16 +230,18 @@ _BLOCK = QMatrix([[Quaternion(1, 2), Quaternion(0, 0, 1)],
 
 
 def _perturbed(a):
-    poly = list(chi_charpoly(a))
+    poly = chi_charpoly(a)
     poly[-1] += Fraction(1, 1000)
     return poly
 
 
 def test_perturbed_charpoly_raises(monkeypatch, tmp_path):
     right_eigenspheres(_BLOCK)
-    monkeypatch.setattr(spec_fd, "chi_charpoly", _perturbed)
+    # each matrix caches its polynomial, so the sabotage is in place before
+    # a fresh matrix first reads it
+    monkeypatch.setattr(qmat, "chi_charpoly", _perturbed)
     with pytest.raises(NumericalError, match="discrepancy"):
-        right_eigenspheres(_BLOCK)
+        right_eigenspheres(QMatrix(_BLOCK.entries))
 
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"matrix": [[q.to_list() for q in row]
@@ -223,7 +260,7 @@ def test_coefficients_beyond_float_range_exit_numerical(tmp_path, capsys):
 
 
 def test_non_real_coefficient_raises(monkeypatch):
-    monkeypatch.setattr(spec_fd, "_berkowitz",
+    monkeypatch.setattr(qmat, "_berkowitz",
                         lambda re, im: [(1, 0), (0, 1), (2, 0)])
     with pytest.raises(NumericalError, match="non-real"):
         chi_charpoly(QMatrix([[Quaternion(1)]]))

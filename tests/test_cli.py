@@ -55,6 +55,37 @@ def test_matrix_spectrum_csv(matrix_file):
     assert out.splitlines() == ["u,s,multiplicity", "1.0,0.0,2"]
 
 
+def test_matrix_spectrum_lists_equal_u_spheres_once(tmp_path):
+    # triangular: the spheres (-1, 3/2) and (-1, sqrt(105)/4) share u, and
+    # float noise in u once split the first into two rows
+    path = tmp_path / "equal_u.json"
+    path.write_text(json.dumps({"matrix": [
+        [["-1", "-2", "1", "5/4"], ["0", "-1", "3/2", "-3/2"]],
+        [["0", "0", "0", "0"], ["-1", "1", "-1/2", "1"]]]}))
+    code, out = run(["spectrum", str(path)])
+    assert code == EXIT_OK
+    assert out.splitlines() == ["u,s,multiplicity", "-1.0,1.5,1",
+                                "-1.0,2.5617376914898995,1"]
+
+
+def test_block_point_spectrum_lists_each_sphere_once(tmp_path):
+    # the 2x2 block has two spheres, (-2, sqrt(3) -+ 3/2), both at u = -2;
+    # clustering listed each of them twice
+    path = tmp_path / "block_geom_shift.json"
+    path.write_text(json.dumps({"structured": {
+        "finite_block": [[["-2", "0", "0", "0"], ["-3/2", "0", "0", "0"]],
+                         [["1/2", "0", "0", "0"], ["-2", "-2", "2", "-1"]]],
+        "diagonal_families": [{"kind": "geometric",
+                               "limit": ["-2", "-2", "-3/2", "3/2"],
+                               "offset": ["-3/2", "-1/2", "-2", "1/2"],
+                               "ratio": "3/5"}],
+        "shift_tails": [{"weight": "1/2", "direction": "forward"}]}}))
+    code, out = run(["spectrum", str(path), "--set", "sigma_ps"])
+    assert code == EXIT_OK
+    kinds = [row.split(",")[2] for row in out.splitlines()[2:]]
+    assert sorted(kinds) == ["POINT", "POINT", "POINT_SEQUENCE"]
+
+
 def test_structured_spectrum_single_set(shift_file):
     code, out = run(["spectrum", shift_file, "--set", "sigma_e"])
     assert code == EXIT_OK
