@@ -179,6 +179,14 @@ class StructuredOperator:
         return StructuredOperator(self.finite_block, self.diagonal_families,
                                   self.shift_tails)
 
+    # Like QMatrix's caches, the frame lives on the instance (the dataclass
+    # is frozen) and goes with it.
+    @cached_property
+    def frame(self):
+        """The regions.Frame of the unperturbed part, built on first read."""
+        from .regions import new_frame
+        return new_frame(self.unperturbed())
+
     def adjoint_operator(self) -> "StructuredOperator":
         """The class is closed under adjoints (shifts swap direction)."""
         block = None if self.finite_block is None else adjoint(self.finite_block)

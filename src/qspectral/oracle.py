@@ -9,7 +9,7 @@ recurrence attached to a weighted shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -123,15 +123,12 @@ def _component_singular_values(op: StructuredOperator, n: int,
             vals = np.sqrt(re * re + (2 * d0 - 2 * u) ** 2 * imn2)
             svs.append(np.repeat(vals, 2))
         else:
-            s = _shift_matrix(comp.weight, n)
+            s = np.diag(np.full(n - 1, float(comp.weight)), -1)
             r = s @ s - 2 * u * s + rho_sq * np.eye(n)
             svs.append(np.repeat(np.linalg.svd(r, compute_uv=False), 2))
     if not svs:
         return np.array([])
     return np.sort(np.concatenate(svs))[::-1]
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=4096)
@@ -155,11 +152,6 @@ def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
     d0 = np.array([float(d.q0) for d in entries])
     imn2 = np.array([float(d.im_norm_sq()) for d in entries])
     return d0, imn2
-
-
-@lru_cache(maxsize=1024)
-def _shift_matrix(weight: Fraction, n: int) -> np.ndarray:
-    return np.diag(np.full(n - 1, float(weight)), -1)
 
 
 def _dense_singular_values(op: StructuredOperator, n: int, u: float,

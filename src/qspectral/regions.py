@@ -24,9 +24,6 @@ from .quat import HalfPlanePoint, Quaternion, sphere_of
 from .spec_fd import right_eigenspheres
 
 _SCAN_CAP = 2000
-# frames kept per process, the oldest evicted first: enough for every
-# operator and adjoint of a few check corpora
-FRAME_CACHE_SIZE = 256
 # float distance a cell or circle representative keeps from every
 # exceptional sphere, so that the block's float kernel test cannot read a
 # nearby eigensphere as a kernel there
@@ -212,15 +209,11 @@ class Atom:
 
 @dataclass
 class Frame:
-    operator: StructuredOperator
     radii_sq: list[Fraction]
     atoms: list[Atom]
     radial_order: list[int]            # cell0, circ0, cell1, ..., cellK
     flags: list[dict]
     regions: dict[str, RegionSet] = field(default_factory=dict)
-
-
-_FRAME_CACHE: dict[StructuredOperator, Frame] = {}
 
 
 def _dot4(a: Quaternion, b: Quaternion) -> Fraction:
@@ -332,10 +325,13 @@ def _pick_circle_rep(r_sq: Fraction, collides) -> HalfPlanePoint:
 
 
 def build_frame(op: StructuredOperator) -> Frame:
-    base = op.unperturbed()
-    if base in _FRAME_CACHE:
-        return _FRAME_CACHE[base]
+    """The frame of op's unperturbed part, built once per operator."""
+    return op.frame
 
+
+def new_frame(base: StructuredOperator) -> Frame:
+    """Build the frame of an unperturbed operator; StructuredOperator.frame
+    keeps it."""
     radii = sorted({t.weight * t.weight for t in base.shift_tails})
     geoms = [f for f in base.diagonal_families if isinstance(f, GeometricFamily)]
     starts = [_tail_start_radial(f, radii, [g for g in geoms if g is not f])
@@ -444,12 +440,9 @@ def build_frame(op: StructuredOperator) -> Frame:
         d["acc"] = acc
         d["pi_0"] = iso and d["sigma_0"]
 
-    frame = Frame(base, radii, atoms, radial_order, flags)
+    frame = Frame(radii, atoms, radial_order, flags)
     for name in SET_NAMES + tuple(f"sigma_k:{k}" for k in sorted(strata)):
         frame.regions[name] = _build_region(frame, name)
-    if len(_FRAME_CACHE) >= FRAME_CACHE_SIZE:
-        del _FRAME_CACHE[next(iter(_FRAME_CACHE))]
-    _FRAME_CACHE[base] = frame
     return frame
 
 
@@ -526,10 +519,18 @@ def spectrum_regions(op: StructuredOperator) -> dict[str, RegionSet]:
 def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
     """Distance from p to the nearest primitive that can carry a
     classification boundary (shift circles, exceptional spheres, tail
-    spheres and their limits).  Conservative: never larger than the true
-    distance to a set boundary."""
+    spheres and their limits).
+
+    Tail sphere m is (u0 + u1*t, sqrt(s0 + a*t + b*t^2)) with t = ratio^m,
+    walked in floats from the tail start.  Every later sphere lies within
+    |offset|*t of the limit, so the walk stops once |offset|*t is below the
+    best distance so far or below 1e-12; as t falls geometrically, one of
+    the two stops it.  The spheres it skips can lie closer to p than the
+    result, but by less than |offset|*t at the stop.
+    """
     frame = build_frame(op)
     rho = math.sqrt(float(p.radius_sq))
+    pu, ps = float(p.u), p.s
     best = math.inf
     for r_sq in frame.radii_sq:
         best = min(best, abs(rho - math.sqrt(float(r_sq))))
@@ -540,15 +541,14 @@ def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
             fam = a.family
             lim = sphere_of(fam.limit)
             best = min(best, p.dist(lim))
+            u0, s0, u1, ca, cb = map(float, fam.sphere_coeffs)
             o = abs(fam.offset)
-            t = float(fam.ratio) ** a.start
-            spheres = fam.spheres(a.start)
-            for _ in range(400):
-                if o * t <= 1e-12:
-                    break
-                best = min(best, p.dist(next(spheres)))
+            r = float(fam.ratio)
+            t = r ** a.start
+            while o * t > 1e-12:
+                s_m = math.sqrt(max(0.0, s0 + ca * t + cb * t * t))
+                best = min(best, math.hypot(pu - (u0 + u1 * t), ps - s_m))
                 if o * t < best:
                     break  # remaining spheres are within best of the limit
-                t *= float(fam.ratio)
+                t *= r
     return best
-

@@ -122,6 +122,26 @@ def test_spectrum_grid_raster(shift_file):
     assert len(grid) == 1 + 7 * 4
 
 
+def test_spectrum_grid_builds_one_frame(tmp_path, monkeypatch):
+    import qspectral.regions as regions
+    new_frame, built = regions.new_frame, []
+
+    def counting(base):
+        built.append(base)
+        return new_frame(base)
+
+    monkeypatch.setattr(regions, "new_frame", counting)
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps({"structured": {
+        "finite_block": [[[2, 0, 0, 0]]],
+        "diagonal_families": [{"kind": "geometric", "limit": [0, 0, 0, 0],
+                               "offset": [1, 0, 0, 0], "ratio": "1/2"}],
+        "shift_tails": [{"weight": "3/2"}]}}))
+    code, out = run(["spectrum", str(path), "--grid", "15"])
+    assert code == EXIT_OK and "# grid" in out
+    assert len(built) == 1
+
+
 def test_spectrum_grid_columns_follow_the_set_table(shift_file):
     argv = ["spectrum", shift_file, "--grid", "3"]
     for name in SET_NAMES:
@@ -288,7 +308,6 @@ def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
 def test_exit_unsupported_on_unterminated_scan(tmp_path, monkeypatch, capsys):
     import qspectral.regions as regions
     monkeypatch.setattr(regions, "_SCAN_CAP", 0)
-    monkeypatch.setattr(regions, "_FRAME_CACHE", {})
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({"structured": {
         "diagonal_families": [{"kind": "geometric", "limit": [0, 0, 0, 0],

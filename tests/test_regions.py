@@ -1,5 +1,7 @@
 """Exact region sets: primitives, assembled spectra, boundary distance."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import qspectral.regions as regions
@@ -155,17 +157,20 @@ def test_cell_representative_clears_the_block_eigensphere():
             assert atom.rep.dist(hp(1)) >= regions.REP_CLEARANCE
 
 
-def test_frame_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(regions, "_FRAME_CACHE", {})
-    monkeypatch.setattr(regions, "FRAME_CACHE_SIZE", 3)
-    ops = [StructuredOperator(
-        diagonal_families=(ConstantFamily(Quaternion(k)),)) for k in range(6)]
-    for k, op in enumerate(ops):
-        frame = regions.build_frame(op)
-        assert len(regions._FRAME_CACHE) == min(k + 1, 3)
-        assert regions.build_frame(op) is frame
-    # the oldest frames went first
-    assert list(regions._FRAME_CACHE) == ops[3:]
+def test_operator_owns_its_frame():
+    op = StructuredOperator(diagonal_families=(ConstantFamily(Quaternion(2)),))
+    assert regions.build_frame(op) is regions.build_frame(op)
+    # a perturbed operator keeps the frame of its unperturbed part too
+    pert = perturb(op, [(QVector([Quaternion(1)]), QVector([Quaternion(1)]))])
+    assert regions.build_frame(pert) is regions.build_frame(pert)
+
+
+def test_frame_goes_with_its_operator():
+    op = StructuredOperator(diagonal_families=(ConstantFamily(Quaternion(3)),))
+    ref = weakref.ref(regions.build_frame(op))
+    del op
+    gc.collect()
+    assert ref() is None
 
 
 # -- boundary distance -------------------------------------------------
@@ -179,6 +184,15 @@ def test_boundary_distance_shift():
 def test_boundary_distance_sees_tail_spheres():
     d = boundary_distance(GEOM, hp(Fraction(17, 64)))
     assert d <= abs(17 / 64 - 0.25) + 1e-12
+
+
+def test_boundary_distance_walks_a_slow_tail_to_its_stop():
+    # the tail of a 999/1000 family starts at m = 1; its sphere 600 is a
+    # boundary, so the distance from it is zero up to float rounding
+    fam = GeometricFamily(Quaternion(0), Quaternion(1), Fraction(999, 1000))
+    op = StructuredOperator(diagonal_families=(fam,))
+    assert regions.build_frame(op).atoms[-1].start == 1
+    assert boundary_distance(op, fam.sphere(600)) < 1e-9
 
 
 def test_backward_shift_same_radii():
