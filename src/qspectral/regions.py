@@ -28,6 +28,8 @@ _SCAN_CAP = 2000
 # exceptional sphere, so that the block's float kernel test cannot read a
 # nearby eigensphere as a kernel there
 REP_CLEARANCE = 1e-3
+# boundary_distance's tail walk stops at this sphere spacing / |offset|
+TAIL_SPACING = 1e-4
 
 
 # ---------------------------------------------------------------------
@@ -522,11 +524,11 @@ def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
     spheres and their limits).
 
     Tail sphere m is (u0 + u1*t, sqrt(s0 + a*t + b*t^2)) with t = ratio^m,
-    walked in floats from the tail start.  Every later sphere lies within
-    |offset|*t of the limit, so the walk stops once |offset|*t is below the
-    best distance so far or below 1e-12; as t falls geometrically, one of
-    the two stops it.  The spheres it skips can lie closer to p than the
-    result, but by less than |offset|*t at the stop.
+    walked in floats from the tail start.  No later sphere comes closer than
+    dist(p, limit) - |offset|*t, so the walk stops once that bound reaches
+    the best distance, or once consecutive spheres lie less than
+    TAIL_SPACING*|offset| apart (within 1/(e*TAIL_SPACING) spheres for any
+    ratio), and returns the smaller of the two: never above the true distance.
     """
     frame = build_frame(op)
     rho = math.sqrt(float(p.radius_sq))
@@ -539,16 +541,13 @@ def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
             best = min(best, p.dist(a.point))
         elif a.kind == "tail":
             fam = a.family
-            lim = sphere_of(fam.limit)
-            best = min(best, p.dist(lim))
             u0, s0, u1, ca, cb = map(float, fam.sphere_coeffs)
-            o = abs(fam.offset)
-            r = float(fam.ratio)
-            t = r ** a.start
-            while o * t > 1e-12:
+            o, r, gap = abs(fam.offset), float(fam.ratio), float(1 - fam.ratio)
+            t, d_lim = r ** a.start, p.dist(sphere_of(fam.limit))
+            best = min(best, d_lim)
+            while o * t > d_lim - best and t * gap >= TAIL_SPACING:
                 s_m = math.sqrt(max(0.0, s0 + ca * t + cb * t * t))
                 best = min(best, math.hypot(pu - (u0 + u1 * t), ps - s_m))
-                if o * t < best:
-                    break  # remaining spheres are within best of the limit
                 t *= r
+            best = min(best, max(0.0, d_lim - o * t))
     return best

@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import islice
 
 import qspectral.regions as regions
 from qspectral.opmodel import (BACKWARD, INVARIANT_SETS, ConstantFamily,
@@ -193,6 +194,32 @@ def test_boundary_distance_walks_a_slow_tail_to_its_stop():
     op = StructuredOperator(diagonal_families=(fam,))
     assert regions.build_frame(op).atoms[-1].start == 1
     assert boundary_distance(op, fam.sphere(600)) < 1e-9
+
+
+def test_boundary_distance_stops_for_a_ratio_that_rounds_to_one():
+    # float(ratio) == 1.0, so t never falls; the spacing stop still ends
+    # the walk, and the limit sphere is a boundary
+    fam = GeometricFamily(Quaternion(0), Quaternion(1),
+                          1 - Fraction(1, 10 ** 20))
+    op = StructuredOperator(diagonal_families=(fam,))
+    assert regions.build_frame(op).atoms[-1].start == 1
+    assert boundary_distance(op, fam.limit_sphere()) == 0.0
+
+
+def test_boundary_distance_never_reads_above_the_true_distance():
+    # here the spheres curve back toward p after |offset|*t has fallen
+    # below the best distance so far
+    fam = GeometricFamily(Quaternion(-2, 1, 6, Fraction(-3, 2)),
+                          Quaternion(Fraction(-5, 2), -5, -3, Fraction(-1, 2)),
+                          Fraction(9, 10))
+    op = StructuredOperator(diagonal_families=(fam,))
+    frame = regions.build_frame(op)
+    start = frame.atoms[-1].start
+    p = HalfPlanePoint(Fraction(-7, 10), Fraction(2, 5))
+    near = [a.point for a in frame.atoms if a.kind == "point"]
+    near += [fam.limit_sphere()] + list(islice(fam.spheres(start), 400))
+    true = min(p.dist(q) for q in near)
+    assert boundary_distance(op, p) <= true + 1e-12
 
 
 def test_backward_shift_same_radii():
