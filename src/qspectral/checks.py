@@ -249,8 +249,8 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
 
 def _atoms(op: StructuredOperator, name: str) -> frozenset:
     frame = build_frame(op)
-    return frozenset(i for i in range(len(frame.atoms))
-                     if frame.flags[i].get(name, False))
+    return frozenset(i for i, a in enumerate(frame.atoms)
+                     if a.flags.get(name, False))
 
 
 def suite_regions(ops: Sequence[StructuredOperator]) -> list[SuiteResult]:

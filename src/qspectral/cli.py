@@ -44,6 +44,11 @@ SET_HELP = f"{', '.join(SET_NAMES)} or sigma_k:<index>"
 REGION_COLUMNS = ["set", "role", "kind", "u", "s", "radius", "closed",
                   "r_inner", "inner_closed", "r_outer", "outer_closed",
                   "ratio", "start", "limit_included"]
+# how a membership reads in a grid cell and in classify's report
+GRID_CELLS = {Membership.IN: 1, Membership.OUT: 0,
+              Membership.DELEGATED: "unknown-delegated"}
+SHOWN = {Membership.IN: "yes", Membership.OUT: "no",
+         Membership.DELEGATED: "unknown-delegated"}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -110,9 +115,7 @@ def _grid_csv(op: StructuredOperator, names: Sequence[str], n_u: int,
         flags = classify_fn(op, p).memberships()
         row = [float(p.u), p.s]
         for name in names:
-            v = flags.get(name, Membership.OUT)
-            row.append({Membership.IN: 1, Membership.OUT: 0,
-                        Membership.DELEGATED: "unknown-delegated"}[v])
+            row.append(GRID_CELLS[flags.get(name, Membership.OUT)])
         row.append(int(boundary_distance(op, p) < BOUNDARY_BAND))
         w.writerow(row)
 
@@ -189,8 +192,7 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
 
 def _show(v) -> str:
     if isinstance(v, Membership):
-        return {Membership.IN: "yes", Membership.OUT: "no",
-                Membership.DELEGATED: "unknown-delegated"}[v]
+        return SHOWN[v]
     if v is None:
         return "unknown-delegated"
     return str(v)

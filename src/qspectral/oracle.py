@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .opmodel import (BACKWARD, ConstantFamily, GeometricFamily, Membership,
                       StructuredOperator)
-from .qmat import QMatrix, chi
+from .qmat import QMatrix
 from .quat import HalfPlanePoint, Quaternion, Real, _frac
 from .spec_fd import pseudo_resolvent_chi
 
@@ -154,20 +154,13 @@ def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
     return d0, imn2
 
 
-def _dense_singular_values(op: StructuredOperator, n: int, u: float,
-                           rho_sq: float) -> np.ndarray:
-    t = truncate(op, n)
-    c = chi(t)
-    r = c @ c - 2 * u * c + rho_sq * np.eye(c.shape[0])
-    return np.linalg.svd(r, compute_uv=False)
-
-
 def cross_check(op: StructuredOperator, p: HalfPlanePoint,
                 sizes: Sequence[int] = DEFAULT_SIZES) -> TruncationReport:
     mins, kers = [], []
     for n in sizes:
         if op.is_perturbed:
-            sv = _dense_singular_values(op, n, float(p.u), float(p.radius_sq))
+            sv = np.linalg.svd(pseudo_resolvent_chi(truncate(op, n), p),
+                               compute_uv=False)
         else:
             sv = _component_singular_values(op, n, p)
         if sv.size == 0:

@@ -85,9 +85,6 @@ class QVector:
             raise DimensionMismatchError(
                 f"vector lengths {self.length} != {other.length}")
 
-    def to_list(self) -> list[list[float]]:
-        return [e.to_list() for e in self.entries]
-
     def __repr__(self) -> str:
         return f"QVector({list(self.entries)!r})"
 
@@ -188,9 +185,6 @@ class QMatrix:
     def columns(self) -> list[QVector]:
         return [QVector([self.entries[i][j] for i in range(self.rows)])
                 for j in range(self.cols)]
-
-    def is_complex(self) -> bool:
-        return all(e.is_complex() for row in self.entries for e in row)
 
     def norm2(self) -> float:
         """Operator 2-norm, defined through chi."""
@@ -405,10 +399,6 @@ class HilbertBasis:
     @classmethod
     def canonical(cls, n: int) -> "HilbertBasis":
         return cls([basis_vector(n, k) for k in range(n)])
-
-    def decompose(self, phi: QVector) -> list[Quaternion]:
-        """Coefficients of phi = sum_k phi_k <phi_k|phi>."""
-        return [v.inner(phi) for v in self.vectors]
 
 
 def gram_schmidt(vectors: Sequence[QVector]) -> HilbertBasis:

@@ -86,10 +86,6 @@ class Quaternion:
     def conj(self) -> "Quaternion":
         return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
 
-    @property
-    def re(self) -> Fraction:
-        return self.q0
-
     def norm_sq(self) -> Fraction:
         return self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
 
@@ -122,10 +118,6 @@ class Quaternion:
         """q = z1 + z2*j with z1 = q0 + q1*i, z2 = q2 + q3*i (floats)."""
         return (complex(float(self.q0), float(self.q1)),
                 complex(float(self.q2), float(self.q3)))
-
-    def is_complex(self) -> bool:
-        """True when q lies in the {1, i} slice."""
-        return self.q2 == 0 and self.q3 == 0
 
     def __repr__(self) -> str:
         return f"Quaternion({self.q0}, {self.q1}, {self.q2}, {self.q3})"

@@ -11,22 +11,25 @@ RegionSets reduce to finite boolean algebra.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 from .opmodel import (INVARIANT_SETS, SET_NAMES, ConstantFamily,
                       GeometricFamily, Membership, StructuredOperator,
                       classify_core, geometric_sphere_indices)
-from .quat import HalfPlanePoint, Quaternion, sphere_of
+from .quat import HalfPlanePoint, sphere_of
 from .spec_fd import right_eigenspheres
 
 _SCAN_CAP = 2000
 # float distance a cell or circle representative keeps from every
-# exceptional sphere, so that the block's float kernel test cannot read a
-# nearby eigensphere as a kernel there
+# exceptional sphere.  Verdicts there are exact either way (a rational point
+# is decided by exact division; only a spec_fd.FloatSphere takes the float
+# route), but the value fixes where the representatives, which are also the
+# check suites' sample points, land
 REP_CLEARANCE = 1e-3
 # boundary_distance's tail walk stops at this sphere spacing / |offset|
 TAIL_SPACING = 1e-4
@@ -198,28 +201,21 @@ def region_empty() -> RegionSet:
 
 @dataclass
 class Atom:
-    kind: str                       # "cell" | "circle" | "point" | "tail"
+    """One frame atom: the region primitive it stands for, the point it is
+    classified at, the index of the radial atom around it (None for cells
+    and circles) and its membership flags, set name -> bool."""
+
+    prim: Union[BandPrim, CirclePrim, PointPrim, SequencePrim]
     rep: HalfPlanePoint
-    lo_sq: Optional[Fraction] = None   # cells
-    hi_sq: Optional[Fraction] = None
-    r_sq: Optional[Fraction] = None    # circles
-    point: Optional[HalfPlanePoint] = None
-    family: Optional[GeometricFamily] = None
-    start: Optional[int] = None
-    host: Optional[int] = None         # radial atom index for points/tails
+    host: Optional[int] = None
+    flags: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass
 class Frame:
     radii_sq: list[Fraction]
-    atoms: list[Atom]
-    radial_order: list[int]            # cell0, circ0, cell1, ..., cellK
-    flags: list[dict]
+    atoms: list[Atom]       # atoms[:2K+1] are cell 0, circle 0, ..., cell K
     regions: dict[str, RegionSet] = field(default_factory=dict)
-
-
-def _dot4(a: Quaternion, b: Quaternion) -> Fraction:
-    return a.q0 * b.q0 + a.q1 * b.q1 + a.q2 * b.q2 + a.q3 * b.q3
 
 
 def _cell_bounds(radii: list[Fraction], i: int):
@@ -228,11 +224,10 @@ def _cell_bounds(radii: list[Fraction], i: int):
     return lo, hi
 
 
-def _cell_index(radii: list[Fraction], r_sq: Fraction) -> int:
-    i = 0
-    while i < len(radii) and r_sq > radii[i]:
-        i += 1
-    return i
+def _radial_index(radii: list[Fraction], r_sq: Fraction) -> int:
+    """Index of the radial atom holding radius^2 r_sq."""
+    i = bisect_left(radii, r_sq)
+    return 2 * i + 1 if i < len(radii) and radii[i] == r_sq else 2 * i
 
 
 def _rat_sqrt_ub(x: Fraction) -> Fraction:
@@ -249,21 +244,13 @@ def _tail_start_radial(fam: GeometricFamily, radii: list[Fraction],
                        others: list[GeometricFamily]) -> int:
     """Smallest index past which the whole tail provably sits in one cell
     (and clear of the other families' limits)."""
-    lr2 = fam.limit.norm_sq()
-    c1 = 2 * _dot4(fam.limit, fam.offset)
-    c2 = fam.offset.norm_sq()
-    on_circle = lr2 in radii
-    if on_circle:
-        i = radii.index(lr2)
-        if c1 < 0:
-            lo, hi = (radii[i - 1] if i > 0 else None), lr2
-        else:
-            lo, hi = lr2, (radii[i + 1] if i + 1 < len(radii) else None)
-    else:
-        idx = _cell_index(radii, lr2)
-        lo, hi = _cell_bounds(radii, idx)
+    u0, s0, u1, ca, cb = fam.sphere_coeffs
+    lr2, c1, c2 = u0 * u0 + s0, 2 * u0 * u1 + ca, u1 * u1 + cb
+    i = bisect_left(radii, lr2)
+    on_circle = i < len(radii) and radii[i] == lr2
+    lo, hi = _cell_bounds(radii, i + 1 if on_circle and c1 >= 0 else i)
 
-    o_ub = _rat_sqrt_ub(fam.offset.norm_sq())
+    o_ub = _rat_sqrt_ub(c2)
     lim_sphere = sphere_of(fam.limit)
     sep = []
     for g in others:
@@ -368,81 +355,59 @@ def new_frame(base: StructuredOperator) -> Frame:
 
     points = pts  # final deduped exceptional spheres
 
-    atoms: list[Atom] = []
-    radial_order: list[int] = []
-    cell_atom: list[int] = []
-    for i in range(len(radii) + 1):
-        lo, hi = _cell_bounds(radii, i)
-        atoms.append(Atom(kind="cell", rep=None, lo_sq=lo, hi_sq=hi))
-        cell_atom.append(len(atoms) - 1)
-        radial_order.append(len(atoms) - 1)
-        if i < len(radii):
-            atoms.append(Atom(kind="circle", rep=None, r_sq=radii[i]))
-            radial_order.append(len(atoms) - 1)
-
-    def host_of(p: HalfPlanePoint) -> int:
-        r2 = p.radius_sq
-        if r2 in radii:
-            # circle atoms sit at odd positions of radial_order
-            return radial_order[2 * radii.index(r2) + 1]
-        return cell_atom[_cell_index(radii, r2)]
-
-    point_atom_of: dict[tuple, int] = {}
-    for p in points:
-        atoms.append(Atom(kind="point", rep=p, point=p, host=host_of(p)))
-        point_atom_of[(p.u, p.s_sq)] = len(atoms) - 1
-
-    for f, m0 in zip(geoms, starts):
-        rep = f.sphere(m0)
-        atoms.append(Atom(kind="tail", rep=rep, family=f, start=m0,
-                          host=cell_atom[_cell_index(radii, rep.radius_sq)]))
-
     def collides(p: HalfPlanePoint) -> bool:
         if any(p.dist(e) < REP_CLEARANCE for e in points):
             return True
         return any(geometric_sphere_indices(f, p, m0)
                    for f, m0 in zip(geoms, starts))
 
-    for a in atoms:
-        if a.kind == "cell":
-            a.rep = _pick_cell_rep(a.lo_sq, a.hi_sq, collides)
-        elif a.kind == "circle":
-            a.rep = _pick_circle_rep(a.r_sq, collides)
+    atoms: list[Atom] = []
+    for i in range(len(radii) + 1):
+        lo, hi = _cell_bounds(radii, i)
+        atoms.append(Atom(BandPrim(lo, False, hi, False),
+                          _pick_cell_rep(lo, hi, collides)))
+        if i < len(radii):
+            atoms.append(Atom(CirclePrim(radii[i]),
+                              _pick_circle_rep(radii[i], collides)))
+    for p in points:
+        atoms.append(Atom(PointPrim.of(p), p,
+                          _radial_index(radii, p.radius_sq)))
+    for f, m0 in zip(geoms, starts):
+        rep = f.sphere(m0)
+        atoms.append(Atom(SequencePrim(f, m0), rep,
+                          _radial_index(radii, rep.radius_sq)))
 
-    flags = []
     strata: set[int] = set()
     for a in atoms:
         cls = classify_core(base, a.rep)
-        flags.append({name: v is Membership.IN
-                      for name, v in cls.memberships().items()})
+        a.flags = {name: v is Membership.IN
+                   for name, v in cls.memberships().items()}
         if cls.index_stratum is not None:
             strata.add(cls.index_stratum)
 
     # topological flags from the frame structure
-    limit_tails: dict[tuple, list[int]] = {}
-    for idx, a in enumerate(atoms):
-        if a.kind == "tail":
-            lp = sphere_of(a.family.limit)
-            limit_tails.setdefault((lp.u, lp.s_sq), []).append(idx)
-    for idx, a in enumerate(atoms):
-        d = flags[idx]
+    limit_tails: dict[PointPrim, list[Atom]] = {}
+    for a in atoms:
+        if isinstance(a.prim, SequencePrim):
+            key = PointPrim.of(a.prim.family.limit_sphere())
+            limit_tails.setdefault(key, []).append(a)
+    for a in atoms:
+        d = a.flags
         if not d["sigma_s"]:
             iso = acc = False
-        elif a.kind in ("cell", "circle"):
+        elif a.host is None:
             iso, acc = False, True
-        elif a.kind == "tail":
-            acc = flags[a.host]["sigma_s"]
-            iso = not acc
         else:
-            acc = flags[a.host]["sigma_s"] or any(
-                flags[t]["sigma_s"]
-                for t in limit_tails.get((a.point.u, a.point.s_sq), ()))
+            # a point atom also accumulates the tails converging to it; no
+            # tail's own prim is a key
+            acc = atoms[a.host].flags["sigma_s"] or any(
+                t.flags["sigma_s"] for t in limit_tails.get(a.prim, ()))
             iso = not acc
         d["iso"] = iso
         d["acc"] = acc
         d["pi_0"] = iso and d["sigma_0"]
 
-    frame = Frame(radii, atoms, radial_order, flags)
+    frame = Frame(radii, atoms)
     for name in SET_NAMES + tuple(f"sigma_k:{k}" for k in sorted(strata)):
         frame.regions[name] = _build_region(frame, name)
     return frame
@@ -462,26 +427,29 @@ def _dedupe(pts: Sequence[HalfPlanePoint]) -> list[HalfPlanePoint]:
 # region assembly
 # ---------------------------------------------------------------------
 
-def _radial_prims(frame: Frame, in_set) -> list:
+def _radial_prims(frame: Frame, name: str) -> list:
+    """Bands and circles covering the maximal runs of radial atoms in the
+    set; a lone atom is its own prim."""
+    radial = frame.atoms[:2 * len(frame.radii_sq) + 1]
+    in_set = [a.flags.get(name, False) for a in radial]
     prims = []
-    order = frame.radial_order
     i = 0
-    while i < len(order):
-        if not in_set(order[i]):
+    while i < len(radial):
+        if not in_set[i]:
             i += 1
             continue
         j = i
-        while j + 1 < len(order) and in_set(order[j + 1]):
+        while j + 1 < len(radial) and in_set[j + 1]:
             j += 1
-        first, last = frame.atoms[order[i]], frame.atoms[order[j]]
-        if i == j and first.kind == "circle":
-            prims.append(CirclePrim(first.r_sq))
+        first, last = radial[i].prim, radial[j].prim
+        if i == j:
+            prims.append(first)
         else:
-            if first.kind == "circle":
+            if isinstance(first, CirclePrim):
                 lo, lo_incl = first.r_sq, True
             else:
                 lo, lo_incl = first.lo_sq, False
-            if last.kind == "circle":
+            if isinstance(last, CirclePrim):
                 hi, hi_incl = last.r_sq, True
             else:
                 hi, hi_incl = last.hi_sq, False
@@ -491,22 +459,13 @@ def _radial_prims(frame: Frame, in_set) -> list:
 
 
 def _build_region(frame: Frame, name: str) -> RegionSet:
-    def in_set(idx: int) -> bool:
-        return frame.flags[idx].get(name, False)
-
-    includes = _radial_prims(frame, in_set)
+    includes = _radial_prims(frame, name)
     excludes = []
-    for idx, a in enumerate(frame.atoms):
-        if a.kind == "point":
-            if in_set(idx) and not in_set(a.host):
-                includes.append(PointPrim.of(a.point))
-            elif not in_set(idx) and in_set(a.host):
-                excludes.append(PointPrim.of(a.point))
-        elif a.kind == "tail":
-            if in_set(idx) and not in_set(a.host):
-                includes.append(SequencePrim(a.family, a.start))
-            elif not in_set(idx) and in_set(a.host):
-                excludes.append(SequencePrim(a.family, a.start))
+    for a in frame.atoms:
+        if a.host is not None:
+            inside = a.flags.get(name, False)
+            if inside != frame.atoms[a.host].flags.get(name, False):
+                (includes if inside else excludes).append(a.prim)
     return RegionSet(tuple(includes), tuple(excludes))
 
 
@@ -534,16 +493,16 @@ def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
     rho = math.sqrt(float(p.radius_sq))
     pu, ps = float(p.u), p.s
     best = math.inf
-    for r_sq in frame.radii_sq:
-        best = min(best, abs(rho - math.sqrt(float(r_sq))))
     for a in frame.atoms:
-        if a.kind == "point":
-            best = min(best, p.dist(a.point))
-        elif a.kind == "tail":
-            fam = a.family
+        if isinstance(a.prim, CirclePrim):
+            best = min(best, abs(rho - math.sqrt(float(a.prim.r_sq))))
+        elif isinstance(a.prim, PointPrim):
+            best = min(best, p.dist(a.rep))
+        elif isinstance(a.prim, SequencePrim):
+            fam = a.prim.family
             u0, s0, u1, ca, cb = map(float, fam.sphere_coeffs)
             o, r, gap = abs(fam.offset), float(fam.ratio), float(1 - fam.ratio)
-            t, d_lim = r ** a.start, p.dist(sphere_of(fam.limit))
+            t, d_lim = r ** a.prim.start, p.dist(fam.limit_sphere())
             best = min(best, d_lim)
             while o * t > d_lim - best and t * gap >= TAIL_SPACING:
                 s_m = math.sqrt(max(0.0, s0 + ca * t + cb * t * t))

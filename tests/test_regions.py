@@ -6,14 +6,16 @@ from fractions import Fraction
 from itertools import islice
 
 import qspectral.regions as regions
+from qspectral.checks import corpus
 from qspectral.opmodel import (BACKWARD, INVARIANT_SETS, ConstantFamily,
                                GeometricFamily, ShiftTail, StructuredOperator,
                                perturb)
 from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
-from qspectral.regions import (PointPrim, RegionSet, boundary_distance,
-                               region_circle, region_disk, region_empty,
-                               region_point, spectrum_regions)
+from qspectral.regions import (BandPrim, CirclePrim, PointPrim, RegionSet,
+                               SequencePrim, boundary_distance, region_circle,
+                               region_disk, region_empty, region_point,
+                               spectrum_regions)
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -154,7 +156,7 @@ def test_cell_representative_clears_the_block_eigensphere():
     assert not regs["sigma_s"].contains(hp(1, 1))
     frame = regions.build_frame(op)
     for atom in frame.atoms:
-        if atom.kind == "cell":
+        if isinstance(atom.prim, BandPrim):
             assert atom.rep.dist(hp(1)) >= regions.REP_CLEARANCE
 
 
@@ -172,6 +174,29 @@ def test_frame_goes_with_its_operator():
     del op
     gc.collect()
     assert ref() is None
+
+
+def test_every_frame_atom_is_a_primitive_holding_its_representative():
+    ops = [op for seed in (0, 1, 2) for op in corpus(seed, 20)]
+    # a point atom on a shift circle, which the corpora lack
+    ops.append(StructuredOperator(
+        diagonal_families=(ConstantFamily(Quaternion(1)),),
+        shift_tails=(ShiftTail(1),)))
+    for op in ops:
+        frame = regions.build_frame(op)
+        n_radial = 2 * len(frame.radii_sq) + 1
+        for i, atom in enumerate(frame.atoms):
+            assert atom.prim.contains(atom.rep)
+            if i < n_radial:
+                assert isinstance(atom.prim, (BandPrim, CirclePrim)[i % 2])
+                assert atom.host is None
+            else:
+                assert frame.atoms[atom.host].prim.contains(atom.rep)
+        prims = [atom.prim for atom in frame.atoms]
+        for region in frame.regions.values():
+            for prim in region.includes + region.excludes:
+                if isinstance(prim, (PointPrim, SequencePrim)):
+                    assert any(prim is q for q in prims)
 
 
 # -- boundary distance -------------------------------------------------
@@ -192,7 +217,7 @@ def test_boundary_distance_walks_a_slow_tail_to_its_stop():
     # boundary, so the distance from it is zero up to float rounding
     fam = GeometricFamily(Quaternion(0), Quaternion(1), Fraction(999, 1000))
     op = StructuredOperator(diagonal_families=(fam,))
-    assert regions.build_frame(op).atoms[-1].start == 1
+    assert regions.build_frame(op).atoms[-1].prim.start == 1
     assert boundary_distance(op, fam.sphere(600)) < 1e-9
 
 
@@ -202,7 +227,7 @@ def test_boundary_distance_stops_for_a_ratio_that_rounds_to_one():
     fam = GeometricFamily(Quaternion(0), Quaternion(1),
                           1 - Fraction(1, 10 ** 20))
     op = StructuredOperator(diagonal_families=(fam,))
-    assert regions.build_frame(op).atoms[-1].start == 1
+    assert regions.build_frame(op).atoms[-1].prim.start == 1
     assert boundary_distance(op, fam.limit_sphere()) == 0.0
 
 
@@ -214,9 +239,9 @@ def test_boundary_distance_never_reads_above_the_true_distance():
                           Fraction(9, 10))
     op = StructuredOperator(diagonal_families=(fam,))
     frame = regions.build_frame(op)
-    start = frame.atoms[-1].start
+    start = frame.atoms[-1].prim.start
     p = HalfPlanePoint(Fraction(-7, 10), Fraction(2, 5))
-    near = [a.point for a in frame.atoms if a.kind == "point"]
+    near = [a.rep for a in frame.atoms if isinstance(a.prim, PointPrim)]
     near += [fam.limit_sphere()] + list(islice(fam.spheres(start), 400))
     true = min(p.dist(q) for q in near)
     assert boundary_distance(op, p) <= true + 1e-12
