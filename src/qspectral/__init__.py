@@ -6,7 +6,7 @@ adjoint embedding; a structured class of infinite-dimensional operators
 (finite block + diagonal families + weighted shift tails + finite-rank
 perturbation) gets an exact classifier for the S-spectrum and its
 essential / Weyl / Browder refinements, cross-checked by an independent
-truncation-and-recurrence oracle.
+truncation oracle.
 """
 
 from .errors import (DelegatedError, DimensionMismatchError, DomainError,
@@ -18,9 +18,8 @@ from .qmat import (HilbertBasis, QMatrix, QVector, adjoint, chi,
                    finite_rank_op, gram_schmidt, kernel_basis, rank)
 from .leftmul import (LeftMultStructure, left_scalar_op, left_scalar_vec,
                       right_scalar_op)
-from .spec_fd import (AscDescReport, EigensphereSet, MembershipTag, asc_dsc,
-                      pseudo_resolvent, right_eigenspheres,
-                      s_spectrum_membership)
+from .spec_fd import (AscDescReport, EigensphereSet, asc_dsc, on_eigensphere,
+                      pseudo_resolvent, right_eigenspheres)
 from .opmodel import (ConstantFamily, GeometricFamily, Membership, ShiftTail,
                       SpectralClassification, StructuredOperator,
                       browder_spectrum, classify, fredholm_index, perturb,
@@ -28,7 +27,6 @@ from .opmodel import (ConstantFamily, GeometricFamily, Membership, ShiftTail,
 from .regions import (RegionSet, boundary_distance, region_circle,
                       region_disk, region_empty, region_point,
                       spectrum_regions)
-from .oracle import (TruncationReport, cross_check, shift_kernel_dims,
-                     truncate)
+from .oracle import TruncationReport, cross_check, truncate
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 
 Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
 error (including a spec the operator classes reject, e.g. a zero geometric
-offset, and an unknown --set name), 3 unsupported request (a delegated set
-without --oracle, or any other domain or delegation error raised while
-computing, e.g. a tail localization that does not terminate), 4
-numerical failure.  Errors 2-4 print one line on stderr.  QSPECTRAL_SEED
-overrides the corpus seed.
+offset, an unknown --set name, and a non-positive --grid N or --corpus
+count), 3 unsupported request (a delegated set without --oracle, or any
+other domain or delegation error raised while computing, e.g. a tail
+localization that does not terminate), 4 numerical failure.  Errors 2-4
+print one line on stderr.  QSPECTRAL_SEED overrides the corpus seed.
 A negative u may follow --point as its own argument (--point -1,0).
 """
 
@@ -133,6 +133,8 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
     for name in args.set or ():
         if not (name in SET_NAMES or re.fullmatch(r"sigma_k:-?[0-9]+", name)):
             raise SpecFileError(f"unknown set {name!r}; valid: {SET_HELP}")
+    if args.grid is not None and args.grid < 1:
+        raise SpecFileError("--grid expects a positive N")
     doc = load_document(args.file)
     if doc.matrix is not None:
         out, close = _out_stream(args.out, stdout)
@@ -258,6 +260,8 @@ def cmd_check(args, stdout, classify_fn: ClassifyFn) -> int:
             seed, count = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise SpecFileError("--corpus expects integers") from exc
+        if count < 1:
+            raise SpecFileError("--corpus expects a positive count")
     env_seed = os.environ.get("QSPECTRAL_SEED")
     if env_seed is not None:
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
-from .qmat import HilbertBasis, QMatrix, QVector, adjoint, basis_vector
+from .qmat import HilbertBasis, QMatrix, QVector, adjoint, finite_rank_op
 from .quat import Quaternion
 
 
@@ -38,26 +38,19 @@ def left_scalar_vec(struct: LeftMultStructure, q: Quaternion, phi: QVector) -> Q
     return out
 
 
+def _left_mul_op(struct: LeftMultStructure, q: Quaternion) -> QMatrix:
+    """L_q, the matrix of phi -> q*phi: sum_k (phi_k q) <phi_k|.>."""
+    return finite_rank_op([(bk.right_mul(q), bk) for bk in struct.basis.vectors])
+
+
 def left_scalar_op(struct: LeftMultStructure, q: Quaternion, a: QMatrix) -> QMatrix:
     """Matrix of the right-linear map phi -> q (A phi) in standard coordinates."""
-    if a.rows != struct.dimension:
-        raise DimensionMismatchError("operator rows != basis dimension")
-    cols = []
-    for j in range(a.cols):
-        col = left_scalar_vec(struct, q, a.apply(basis_vector(a.cols, j)))
-        cols.append(col)
-    return _from_columns(cols)
+    return _left_mul_op(struct, q) @ a
 
 
 def right_scalar_op(struct: LeftMultStructure, a: QMatrix, q: Quaternion) -> QMatrix:
     """Matrix of phi -> A (q phi)."""
-    if a.cols != struct.dimension:
-        raise DimensionMismatchError("operator cols != basis dimension")
-    cols = []
-    for j in range(a.cols):
-        col = a.apply(left_scalar_vec(struct, q, basis_vector(a.cols, j)))
-        cols.append(col)
-    return _from_columns(cols)
+    return a @ _left_mul_op(struct, q)
 
 
 def adjoint_identities_check(struct: LeftMultStructure, q: Quaternion, a: QMatrix,
@@ -68,11 +61,6 @@ def adjoint_identities_check(struct: LeftMultStructure, q: Quaternion, a: QMatri
     lhs2 = adjoint(right_scalar_op(struct, a, q))
     rhs2 = left_scalar_op(struct, q.conj(), adjoint(a))
     return (_max_dev(lhs1, rhs1) <= tol) and (_max_dev(lhs2, rhs2) <= tol)
-
-
-def _from_columns(cols: list[QVector]) -> QMatrix:
-    n = cols[0].length
-    return QMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
 
 def _max_dev(a: QMatrix, b: QMatrix) -> float:

@@ -203,20 +203,6 @@ class StructuredOperator:
         pert = tuple((phi, psi) for psi, phi in self.perturbation)
         return StructuredOperator(block, tuple(fams), shifts, pert)
 
-    def norm_bound(self) -> float:
-        """Upper bound on the operator norm of the unperturbed part."""
-        vals = [0.0]
-        if self.finite_block is not None:
-            vals.append(self.finite_block.norm2())
-        for fam in self.diagonal_families:
-            if isinstance(fam, ConstantFamily):
-                vals.append(abs(fam.value))
-            else:
-                vals.append(abs(fam.limit) + abs(fam.offset))
-        for tail in self.shift_tails:
-            vals.append(float(tail.weight))
-        return max(vals)
-
     # -- global coordinates -------------------------------------------
     # Index space: the finite block occupies [0, block_dim); infinite
     # components are interleaved round-robin after it, so finitely

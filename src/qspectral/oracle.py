@@ -1,9 +1,8 @@
 """Independent numerical corroboration of spectral verdicts.
 
-Two routes, neither of which consults the classifier's internals:
-finite truncation (min singular value of the embedded pseudo-resolvent
-across growing compressions) and explicit solution of the three-term
-recurrence attached to a weighted shift.
+One route, which does not consult the classifier: finite truncation,
+the min singular value of the embedded pseudo-resolvent across growing
+compressions.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .errors import DimensionMismatchError, DomainError
 from .opmodel import (BACKWARD, ConstantFamily, GeometricFamily, Membership,
                       StructuredOperator)
 from .qmat import QMatrix
-from .quat import HalfPlanePoint, Quaternion, Real, _frac
+from .quat import HalfPlanePoint, Quaternion
 from .spec_fd import pseudo_resolvent_chi
 
 DEFAULT_SIZES = (16, 32, 64)
@@ -32,7 +31,6 @@ BOUNDARY_BAND = 0.05
 VANISHING = "VANISHING"
 BOUNDED_AWAY = "BOUNDED-AWAY"
 INCONCLUSIVE = "INCONCLUSIVE"
-NOT_FREDHOLM = "NOT-FREDHOLM"
 
 
 @dataclass(frozen=True)
@@ -199,40 +197,3 @@ def agreement(in_spectrum: Membership, report: TruncationReport) -> bool:
     if in_spectrum is Membership.IN:
         return report.verdict != BOUNDED_AWAY
     return report.verdict != VANISHING
-
-
-# ---------------------------------------------------------------------
-# recurrence route for shifts
-# ---------------------------------------------------------------------
-
-def shift_recurrence_roots(alpha: Real, p: HalfPlanePoint) -> np.ndarray:
-    """Roots of a^2 t^2 - 2 u a t + rho^2, the characteristic polynomial of
-    the scalar three-term recurrence behind R_q(shift)."""
-    a = float(_frac(alpha))
-    return np.roots([a * a, -2.0 * float(p.u) * a, float(p.radius_sq)])
-
-
-def shift_kernel_dims(alpha: Real, p: HalfPlanePoint):
-    """(dim ker R_q, dim ker R_q of the adjoint) for the weighted shift.
-
-    Counts square-summable recurrence solutions by root moduli; the
-    boundary (both roots on the unit circle) is returned as the
-    NOT-FREDHOLM verdict rather than a pair.
-    """
-    alpha = _frac(alpha)
-    if alpha <= 0:
-        raise DomainError("shift weight must be positive")
-    r_sq = p.radius_sq
-    a_sq = alpha * alpha
-    roots = shift_recurrence_roots(alpha, p)
-    # both moduli equal rho/alpha; the exact comparison decides the side
-    if r_sq == a_sq:
-        return NOT_FREDHOLM
-    # both moduli equal rho/alpha (conjugate pair, or a double real root)
-    if r_sq < a_sq:
-        if not np.all(np.abs(roots) < 1.0 + 1e-9):
-            raise DomainError("root moduli disagree with the exact comparison")
-        return (0, 2)
-    if not np.all(np.abs(roots) > 1.0 - 1e-9):
-        raise DomainError("root moduli disagree with the exact comparison")
-    return (0, 0)

@@ -1,8 +1,8 @@
 """Dense quaternionic matrices as right-linear operators on H^n.
 
 Vectors are columns, operators act on the left and scalars on the right.
-Kernels and ranks have two routes: exact quaternionic row reduction (always
-available, components are rational) and a floating route through the complex
+Kernels and ranks come from exact quaternionic row reduction (components are
+rational); kernel dimensions also have a floating route through the complex
 adjoint embedding ``chi``.  The chi block convention is fixed: an entry
 q = z1 + z2*j maps to [[z1, z2], [-conj(z2), conj(z1)]].
 """
@@ -22,7 +22,6 @@ from .errors import (DimensionMismatchError, DomainError, NumericalError,
                      RankDeficiencyError)
 from .quat import ONE, ZERO, Quaternion, Real, _exact_sqrt, _frac
 
-RANK_TOL = 1e-9          # relative rank tolerance for the floating route
 # Relative min-singular-value spectral membership test.  The float route
 # chi(A)^2 - 2u chi(A) + rho^2 I (spec_fd.pseudo_resolvent_chi) differs
 # from chi of the exact pseudo-resolvent by a multiple of
@@ -73,9 +72,6 @@ class QVector:
 
     def norm_sq(self) -> Fraction:
         return self.inner(self).q0
-
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
@@ -185,10 +181,6 @@ class QMatrix:
     def columns(self) -> list[QVector]:
         return [QVector([self.entries[i][j] for i in range(self.rows)])
                 for j in range(self.cols)]
-
-    def norm2(self) -> float:
-        """Operator 2-norm, defined through chi."""
-        return float(np.linalg.norm(chi(self), 2))
 
     def __repr__(self) -> str:
         return f"QMatrix({[list(r) for r in self.entries]!r})"
@@ -353,15 +345,6 @@ def rank(a: QMatrix) -> int:
     """dim_H ran(A) = cols - dim_H ker(A), exact."""
     _, pivots = _rref(a)
     return len(pivots)
-
-
-def rank_numeric(a: QMatrix, tol: float = RANK_TOL) -> int:
-    """Floating route: rank(chi(A))/2 with a relative singular-value cutoff."""
-    sv = np.linalg.svd(chi(a), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    # scale floored at 1 so a uniformly tiny matrix reads as rank zero
-    return int(np.sum(sv > tol * max(sv[0], 1.0))) // 2
 
 
 def kernel_dim_numeric(a: QMatrix | np.ndarray,

@@ -16,7 +16,6 @@ the one input that the float route reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,11 +33,6 @@ class FloatSphere(HalfPlanePoint):
     """An eigensphere known only in floating point: its root of p is not
     rational.  It equals no HalfPlanePoint, and block verdicts at it come
     from the float pseudo-resolvent."""
-
-
-class MembershipTag(Enum):
-    RESOLVENT = "resolvent"
-    POINT = "point"
 
 
 @dataclass(frozen=True)
@@ -243,17 +237,6 @@ def _match_eigvals(poly: Sequence[Fraction], eigs: np.ndarray) -> None:
     if not dev <= CROSS_CHECK_TOL * scale:
         raise NumericalError(
             f"eigensolver/charpoly coefficient discrepancy {dev:.3e}")
-
-
-def s_spectrum_membership(a: QMatrix, q: Quaternion) -> MembershipTag:
-    """RESOLVENT iff R_q(A) invertible, POINT otherwise.
-
-    Finite dimension forces sigma_S = sigma_pS; residual/continuous tags
-    cannot occur for matrices.
-    """
-    if on_eigensphere(a, sphere_of(q)) > 0:
-        return MembershipTag.POINT
-    return MembershipTag.RESOLVENT
 
 
 def on_eigensphere(a: QMatrix, p: HalfPlanePoint) -> int:

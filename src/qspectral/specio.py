@@ -160,10 +160,6 @@ class OperatorSpecDocument:
         self.structured = structured
         self.basis = basis
 
-    @property
-    def kind(self) -> str:
-        return "matrix" if self.matrix is not None else "structured"
-
 
 def document_from_obj(doc: Any) -> OperatorSpecDocument:
     if not isinstance(doc, dict):

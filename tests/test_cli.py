@@ -293,6 +293,21 @@ def test_exit_parse_errors(tmp_path, shift_file):
     assert run(["check", "--corpus", "nope"])[0] == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "{op}", "--grid", "0"],
+    ["spectrum", "{op}", "--grid", "-3"],
+    ["check", "--corpus", "1,-5"],
+    ["check", "--corpus", "1,0"],
+])
+def test_exit_parse_non_positive_sizes(shift_file, capsys, argv):
+    # a size below 1 is a parse error, not an empty raster or a corpus
+    # sliced from the end
+    code, out = run([a.format(op=shift_file) for a in argv])
+    assert code == EXIT_PARSE and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
     path = tmp_path / "zero_offset.json"
     path.write_text(json.dumps({"structured": {"diagonal_families": [

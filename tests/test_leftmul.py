@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qspectral.checks import _householder_basis
 from qspectral.errors import DimensionMismatchError
 from qspectral.leftmul import (LeftMultStructure, adjoint_identities_check,
                                left_scalar_op, left_scalar_vec,
@@ -79,6 +80,22 @@ def test_operator_adjoint_identities_exact_basis():
     a = QMatrix([[I, Quaternion(1)], [J, Quaternion(0, 0, 1, 1)]])
     for q in (I, J, Quaternion(1, 2, 3, 4)):
         assert adjoint_identities_check(struct, q, a, tol=1e-12)
+
+
+def test_left_scalar_operator_is_the_basis_sum():
+    """L_q = left_scalar_op(struct, q, I) has columns q*e_j, and A (q .)
+    at A = I is the same matrix."""
+    householder = LeftMultStructure(_householder_basis(QVector(
+        [Quaternion(1, 2, 0, -1), Quaternion(0, 1, 1, 0),
+         Quaternion(Fraction(1, 2), 0, 3, 0)])))
+    for struct in (exact_basis(), householder):
+        eye = QMatrix.identity(struct.dimension)
+        for q in (I, J, Quaternion(1, 2, 3, 4),
+                  Quaternion(Fraction(-1, 3), 0, 5, -2)):
+            lq = left_scalar_op(struct, q, eye)
+            assert lq.columns() == [left_scalar_vec(struct, q, e)
+                                    for e in eye.columns()]
+            assert right_scalar_op(struct, eye, q) == lq
 
 
 def test_left_and_right_operator_products_differ():

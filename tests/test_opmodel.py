@@ -270,8 +270,3 @@ def test_browder_set_of_perturbed_is_delegated():
         ConstantFamily(Quaternion(1)),)), [(z, z)])
     with pytest.raises(DelegatedError):
         browder_spectrum(pert)
-
-
-def test_norm_bound_dominates_components():
-    assert BLOCK_CONST.norm_bound() >= 2.0
-    assert SHIFT.norm_bound() >= 1.0

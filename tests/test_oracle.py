@@ -1,4 +1,4 @@
-"""Truncation and recurrence oracle: verdicts frozen on anchor points."""
+"""Truncation oracle: verdicts frozen on anchor points."""
 
 from fractions import Fraction
 
@@ -8,10 +8,8 @@ from qspectral.errors import DimensionMismatchError, DomainError
 from qspectral.opmodel import (BACKWARD, ConstantFamily, GeometricFamily,
                                Membership, ShiftTail, StructuredOperator,
                                perturb)
-from qspectral.oracle import (BOUNDED_AWAY, INCONCLUSIVE, NOT_FREDHOLM,
-                              VANISHING, agreement, cross_check,
-                              shift_kernel_dims, shift_recurrence_roots,
-                              truncate)
+from qspectral.oracle import (BOUNDED_AWAY, INCONCLUSIVE, VANISHING,
+                              agreement, cross_check, truncate)
 from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
 
@@ -119,28 +117,3 @@ def test_agreement_contract():
     assert not agreement(Membership.IN, bounded)
     assert agreement(Membership.DELEGATED, vanish)
     assert agreement(Membership.DELEGATED, bounded)
-
-
-# -- recurrence route ---------------------------------------------------
-
-def test_shift_kernel_dims_frozen():
-    assert shift_kernel_dims(1, hp(HALF)) == (0, 2)
-    assert shift_kernel_dims(1, hp(2)) == (0, 0)
-    assert shift_kernel_dims(1, hp(1)) == NOT_FREDHOLM
-    assert shift_kernel_dims(1, hp(0, 1)) == NOT_FREDHOLM
-
-
-def test_shift_kernel_dims_scaling_covariance():
-    # only rho/alpha matters
-    assert shift_kernel_dims(2, hp(1)) == (0, 2)
-    assert shift_kernel_dims(2, hp(2)) == NOT_FREDHOLM
-    assert shift_kernel_dims(HALF, hp(1)) == (0, 0)
-    with pytest.raises(DomainError):
-        shift_kernel_dims(0, hp(1))
-
-
-def test_recurrence_root_moduli():
-    roots = shift_recurrence_roots(2, hp(0, 1))
-    assert all(abs(abs(r) - 0.5) < 1e-12 for r in roots)
-    roots2 = shift_recurrence_roots(1, hp(HALF))
-    assert all(abs(abs(r) - 0.5) < 1e-12 for r in roots2)

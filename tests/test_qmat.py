@@ -11,7 +11,7 @@ from qspectral.errors import (DimensionMismatchError, DomainError,
                               RankDeficiencyError)
 from qspectral.qmat import (QMatrix, QVector, adjoint, basis_vector, chi,
                             finite_rank_op, gram_schmidt, kernel_basis,
-                            kernel_dim_numeric, rank, rank_numeric)
+                            kernel_dim_numeric, rank)
 from qspectral.quat import Quaternion
 
 I = Quaternion(0, 1)
@@ -41,13 +41,14 @@ def test_rank_routes_agree():
     rng = random.Random(5)
     for _ in range(30):
         a = random_matrix(rng, rng.randint(1, 4))
-        assert rank(a) == rank_numeric(a)
+        sv = np.linalg.svd(chi(a), compute_uv=False)
+        # relative cutoff, scale floored at 1
+        assert rank(a) == int(np.sum(sv > 1e-9 * max(sv[0], 1.0))) // 2
         assert len(kernel_basis(a)) == kernel_dim_numeric(a)
 
 
 def test_kernel_dim_numeric_zero_matrix():
     assert kernel_dim_numeric(QMatrix.zeros(3)) == 3
-    assert rank_numeric(QMatrix.zeros(3)) == 0
 
 
 def test_chi_block_convention():

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import qspectral.spec_fd as spec_fd
 from qspectral.qmat import QMatrix, kernel_basis
-from qspectral.quat import HalfPlanePoint, Quaternion, slice_representative
-from qspectral.spec_fd import (MembershipTag, asc_dsc, on_eigensphere,
-                               pseudo_resolvent, pseudo_resolvent_at,
-                               right_eigenspheres, s_spectrum_membership)
+from qspectral.quat import HalfPlanePoint, Quaternion, sphere_of
+from qspectral.spec_fd import (asc_dsc, on_eigensphere, pseudo_resolvent,
+                               pseudo_resolvent_at, right_eigenspheres)
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -66,12 +65,10 @@ def test_pseudo_resolvent_formula():
 
 def test_membership_tags():
     a = QMatrix([[I, Quaternion(0)], [Quaternion(0), Quaternion(2)]])
-    assert s_spectrum_membership(a, J) is MembershipTag.POINT
-    assert s_spectrum_membership(a, Quaternion(2)) is MembershipTag.POINT
-    assert s_spectrum_membership(a, Quaternion(1)) is MembershipTag.RESOLVENT
-    assert s_spectrum_membership(
-        a, slice_representative(HalfPlanePoint(0, Fraction(1, 2)))) \
-        is MembershipTag.RESOLVENT
+    assert on_eigensphere(a, sphere_of(J)) == 1
+    assert on_eigensphere(a, sphere_of(Quaternion(2))) == 1
+    assert on_eigensphere(a, sphere_of(Quaternion(1))) == 0
+    assert on_eigensphere(a, HalfPlanePoint(0, Fraction(1, 2))) == 0
 
 
 def test_on_eigensphere_off_spectrum():

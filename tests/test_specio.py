@@ -60,7 +60,7 @@ def test_matrix_document_loads(tmp_path):
         {"matrix": [[[0, 1, 0, 0], [1, 0, 0, 0]],
                     [[0, 0, 0, 0], ["1/2", 0, 0, 0]]]}))
     doc = load_document(str(path))
-    assert doc.kind == "matrix"
+    assert doc.structured is None
     assert doc.matrix.rows == 2
     assert doc.matrix[(1, 1)] == Quaternion(Fraction(1, 2))
 
