@@ -12,12 +12,10 @@ truncation oracle.
 from .errors import (DelegatedError, DimensionMismatchError, DomainError,
                      NumericalError, QSpectralError, RankDeficiencyError,
                      SpecFileError)
-from .quat import (HalfPlanePoint, Quaternion, quat, sphere_of,
-                   slice_representative)
+from .quat import HalfPlanePoint, Quaternion, sphere_of, slice_representative
 from .qmat import (HilbertBasis, QMatrix, QVector, adjoint, chi,
                    finite_rank_op, gram_schmidt, kernel_basis, rank)
-from .leftmul import (LeftMultStructure, left_scalar_op, left_scalar_vec,
-                      right_scalar_op)
+from .leftmul import left_scalar_op, left_scalar_vec, right_scalar_op
 from .spec_fd import (AscDescReport, EigensphereSet, asc_dsc, on_eigensphere,
                       pseudo_resolvent, right_eigenspheres)
 from .opmodel import (ConstantFamily, GeometricFamily, Membership, ShiftTail,

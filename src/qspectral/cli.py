@@ -2,21 +2,22 @@
 
 Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
 error (including a spec the operator classes reject, e.g. a zero geometric
-offset, an unknown --set name, and a non-positive --grid N or --corpus
-count), 3 unsupported request (a delegated set without --oracle, or any
-other domain or delegation error raised while computing, e.g. a tail
-localization that does not terminate), 4 numerical failure.  Errors 2-4
-print one line on stderr.  QSPECTRAL_SEED overrides the corpus seed.
-A negative u may follow --point as its own argument (--point -1,0).
+offset, an unknown --set name, a non-positive --grid N or --corpus count,
+and an --out file that cannot be opened), 3 unsupported request (a
+delegated set without --oracle, or any other domain or delegation error
+raised while computing, e.g. a tail localization that does not
+terminate), 4 numerical failure.  Errors 2-4 print one line on stderr.
+The corpus seed comes from --corpus alone.  A negative u may follow
+--point as its own argument (--point -1,0).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -68,10 +69,11 @@ def _parse_point(text: str) -> HalfPlanePoint:
     return HalfPlanePoint(u, s)
 
 
-def _out_stream(path: Optional[str], stdout) -> tuple:
-    if path is None:
-        return stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+def _open_out(path: str):
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path}: {exc}") from exc
 
 
 def _grid_points(n_u: int):
@@ -137,12 +139,9 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
         raise SpecFileError("--grid expects a positive N")
     doc = load_document(args.file)
     if doc.matrix is not None:
-        out, close = _out_stream(args.out, stdout)
-        try:
+        with (nullcontext(stdout) if args.out is None
+              else _open_out(args.out)) as out:
             _emit_matrix_spectrum(doc, out)
-        finally:
-            if close:
-                out.close()
         return EXIT_OK
 
     op = doc.structured
@@ -179,11 +178,10 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
     for name in names:
         path = (args.out if len(names) == 1
                 else f"{stem}_{name.replace(':', '')}.{ext}")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(path) as fh:
             emit(name, fh)
     if args.grid:
-        with open(f"{stem}_grid.{ext}", "w", newline="",
-                  encoding="utf-8") as fh:
+        with _open_out(f"{stem}_grid.{ext}") as fh:
             _grid_csv(op, names, args.grid, fh, classify_fn)
     return EXIT_OK
 
@@ -262,12 +260,6 @@ def cmd_check(args, stdout, classify_fn: ClassifyFn) -> int:
             raise SpecFileError("--corpus expects integers") from exc
         if count < 1:
             raise SpecFileError("--corpus expects a positive count")
-    env_seed = os.environ.get("QSPECTRAL_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise SpecFileError("QSPECTRAL_SEED must be an integer") from exc
 
     if args.file:
         doc = load_document(args.file)

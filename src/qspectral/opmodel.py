@@ -210,15 +210,6 @@ class StructuredOperator:
     def coord_of(self, component: int, m: int) -> int:
         return self.block_dim + m * self.n_infinite + component
 
-    def split_coord(self, i: int) -> tuple[int, int]:
-        """Global index -> (component, m); component -1 means the block."""
-        if i < self.block_dim:
-            return (-1, i)
-        j = i - self.block_dim
-        if self.n_infinite == 0:
-            raise DomainError("coordinate beyond the finite block")
-        return (j % self.n_infinite, j // self.n_infinite)
-
 
 def perturb(op: StructuredOperator,
             pairs: Sequence[tuple[QVector, QVector]]) -> StructuredOperator:

@@ -78,8 +78,7 @@ def truncate(op: StructuredOperator, n: int) -> QMatrix:
                     lo, hi = hi, lo
                 grid[hi][lo] = w
     for psi, phi in op.perturbation:
-        if max(psi.length, phi.length) > dim or any(
-                _beyond(op, v, n) for v in (psi, phi)):
+        if max(psi.length, phi.length) > dim:
             raise DimensionMismatchError(
                 "truncation too small for the perturbation support")
         for i in range(psi.length):
@@ -90,15 +89,6 @@ def truncate(op: StructuredOperator, n: int) -> QMatrix:
                     continue
                 grid[i][j] = grid[i][j] + psi[i] * phi[j].conj()
     return QMatrix(grid)
-
-
-def _beyond(op: StructuredOperator, v, n: int) -> bool:
-    for i in range(v.length):
-        if not v[i].is_zero():
-            comp, m = op.split_coord(i)
-            if comp >= 0 and m >= n:
-                return True
-    return False
 
 
 # fast singular-value route exploiting the direct-sum structure; the

@@ -142,9 +142,8 @@ class QMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
-        cols = rows if cols is None else cols
-        return cls([[ZERO] * cols for _ in range(rows)])
+    def zeros(cls, n: int) -> "QMatrix":
+        return cls([[ZERO] * n for _ in range(n)])
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -136,10 +136,6 @@ J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
 
 
-def quat(q0: Real = 0, q1: Real = 0, q2: Real = 0, q3: Real = 0) -> Quaternion:
-    return Quaternion(q0, q1, q2, q3)
-
-
 @dataclass(frozen=True)
 class HalfPlanePoint:
     """A similarity sphere [q] reduced to (Re q, |Im q|).

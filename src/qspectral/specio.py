@@ -1,10 +1,12 @@
 """Operator-spec documents: JSON parsing and exact round-trip dumping.
 
-A document carries exactly one of "matrix" (nested arrays of quaternion
-4-arrays) or "structured" (finite block, diagonal families, shift tails,
-perturbation), plus an optional "basis" for the left multiplication.
-Rationals may be written as numbers or as "p/q" strings; dumps use the
-string form so that a dumped operator re-parses to an equal one.
+A document is an object with exactly one key: "matrix" (nested arrays of
+quaternion 4-arrays) or "structured" (finite block, diagonal families,
+shift tails, perturbation).  The parser checks the document's shape; the
+operator classes check their own values, and any DomainError they raise
+becomes a SpecFileError in document_from_obj.  Rationals may be written
+as numbers or as "p/q" strings; dumps use the string form so that a
+dumped operator re-parses to an equal one.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .errors import DomainError, SpecFileError
-from .opmodel import (BACKWARD, FORWARD, ConstantFamily, GeometricFamily,
-                      ShiftTail, StructuredOperator)
+from .opmodel import (FORWARD, ConstantFamily, GeometricFamily, ShiftTail,
+                      StructuredOperator)
 from .qmat import QMatrix, QVector
 from .quat import Quaternion
 
@@ -56,10 +58,7 @@ def matrix_from_obj(obj: Any) -> QMatrix:
     if (not isinstance(obj, list) or not obj
             or not all(isinstance(r, list) and r for r in obj)):
         raise SpecFileError("matrix must be a non-empty nested array")
-    try:
-        return QMatrix([[quat_from_obj(e) for e in row] for row in obj])
-    except DomainError as exc:
-        raise SpecFileError(f"bad matrix: {exc}") from exc
+    return QMatrix([[quat_from_obj(e) for e in row] for row in obj])
 
 
 def matrix_to_obj(m: QMatrix) -> list:
@@ -101,34 +100,22 @@ def structured_from_obj(obj: Any) -> StructuredOperator:
         elif f["kind"] == "geometric":
             limit, offset, ratio = (_field(f, k, "geometric family")
                                     for k in ("limit", "offset", "ratio"))
-            try:
-                fams.append(GeometricFamily(quat_from_obj(limit),
-                                            quat_from_obj(offset), _num(ratio)))
-            except DomainError as exc:
-                raise SpecFileError(f"bad geometric family: {exc}") from exc
+            fams.append(GeometricFamily(quat_from_obj(limit),
+                                        quat_from_obj(offset), _num(ratio)))
         else:
             raise SpecFileError(f"unknown family kind {f['kind']!r}")
     tails = []
     for t in obj.get("shift_tails", []) or []:
         if not isinstance(t, dict) or "weight" not in t:
             raise SpecFileError("shift tail needs a 'weight'")
-        w = _num(t["weight"])
-        if w <= 0:
-            raise SpecFileError("shift weight must be positive")
-        direction = t.get("direction", FORWARD)
-        if direction not in (FORWARD, BACKWARD):
-            raise SpecFileError(f"bad shift direction {direction!r}")
-        tails.append(ShiftTail(w, direction))
+        tails.append(ShiftTail(_num(t["weight"]),
+                               t.get("direction", FORWARD)))
     pert = []
     for pair in obj.get("perturbation", []) or []:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SpecFileError("perturbation entries are [psi, phi] pairs")
         pert.append((vector_from_obj(pair[0]), vector_from_obj(pair[1])))
-    try:
-        return StructuredOperator(block, tuple(fams), tuple(tails),
-                                  tuple(pert))
-    except Exception as exc:
-        raise SpecFileError(f"malformed operator: {exc}") from exc
+    return StructuredOperator(block, tuple(fams), tuple(tails), tuple(pert))
 
 
 def structured_to_obj(op: StructuredOperator) -> dict:
@@ -154,28 +141,29 @@ def structured_to_obj(op: StructuredOperator) -> dict:
 
 class OperatorSpecDocument:
     def __init__(self, matrix: Optional[QMatrix],
-                 structured: Optional[StructuredOperator],
-                 basis: Optional[QMatrix] = None):
+                 structured: Optional[StructuredOperator]):
         self.matrix = matrix
         self.structured = structured
-        self.basis = basis
 
 
 def document_from_obj(doc: Any) -> OperatorSpecDocument:
     if not isinstance(doc, dict):
         raise SpecFileError("operator spec must be a JSON object")
-    has_m, has_s = "matrix" in doc, "structured" in doc
-    if has_m == has_s:
+    unknown = set(doc) - {"matrix", "structured"}
+    if unknown:
+        raise SpecFileError(f"unknown document keys: {sorted(unknown)}")
+    if len(doc) != 1:
         raise SpecFileError('exactly one of "matrix"/"structured" required')
-    basis = doc.get("basis")
-    basis = matrix_from_obj(basis) if basis is not None else None
-    if has_m:
-        matrix = matrix_from_obj(doc["matrix"])
-        if matrix.rows != matrix.cols:
-            raise SpecFileError("matrix must be square")
-        return OperatorSpecDocument(matrix, None, basis)
-    return OperatorSpecDocument(None, structured_from_obj(doc["structured"]),
-                                basis)
+    try:
+        if "matrix" in doc:
+            matrix = matrix_from_obj(doc["matrix"])
+            if matrix.rows != matrix.cols:
+                raise SpecFileError("matrix must be square")
+            return OperatorSpecDocument(matrix, None)
+        return OperatorSpecDocument(None,
+                                    structured_from_obj(doc["structured"]))
+    except DomainError as exc:
+        raise SpecFileError(f"rejected operator: {exc}") from exc
 
 
 def load_document(path: str) -> OperatorSpecDocument:

@@ -12,6 +12,7 @@ from qspectral.checks import (corpus, exemplars, run_all,
                               suite_adjoint_identities, suite_oracle,
                               suite_pointwise, suite_regions)
 from qspectral.opmodel import Membership, classify
+from qspectral.qmat import QVector, finite_rank_op
 from qspectral.quat import Quaternion
 from qspectral.specio import operator_dump
 
@@ -86,8 +87,8 @@ def test_adjoint_identities_suite_detects_sabotage(monkeypatch, eps):
     compared exactly, so even eps far below any float tolerance shows."""
     exact = leftmul.left_scalar_vec
 
-    def off_by_eps(struct, q, phi):
-        out = exact(struct, q, phi)
+    def off_by_eps(basis, q, phi):
+        out = exact(basis, q, phi)
         return dataclasses.replace(
             out, entries=(out[0] + Quaternion(eps),) + out.entries[1:])
 
@@ -95,3 +96,16 @@ def test_adjoint_identities_suite_detects_sabotage(monkeypatch, eps):
     monkeypatch.setattr(checks, "left_scalar_vec", off_by_eps)
     res = suite_adjoint_identities(random.Random(5))
     assert res.cases == 25 and res.failures == 25
+
+
+def test_adjoint_identities_suite_detects_a_wrong_left_operator(monkeypatch):
+    """L_q built with q on the left of each basis entry is q I, the L_q of
+    the canonical basis: it keeps every adjoint identity and every vector
+    identity, but its columns are not q*e_j of the suite's basis."""
+    def q_on_the_left(basis, q):
+        return finite_rank_op([(QVector([q * e for e in bk.entries]), bk)
+                               for bk in basis.vectors])
+
+    monkeypatch.setattr(leftmul, "_left_mul_op", q_on_the_left)
+    res = suite_adjoint_identities(random.Random(5))
+    assert res.cases == 25 and res.failures > 0

@@ -112,6 +112,44 @@ def test_spectrum_out_files(shift_file, tmp_path):
     assert "CIRCLE" in b.read_text()
 
 
+def test_matrix_spectrum_out_file(matrix_file, tmp_path):
+    code, shown = run(["spectrum", matrix_file])
+    target = tmp_path / "spheres.csv"
+    code_out, out = run(["spectrum", matrix_file, "--out", str(target)])
+    assert code == code_out == EXIT_OK
+    assert out == ""
+    assert target.read_bytes().decode("utf-8") == shown
+
+
+def _one_error_line(capsys, prefix="error: "):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith(prefix)
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ("matrix", []),
+    ("shift", []),
+    ("shift", ["--set", "sigma_s", "--set", "sigma_e", "--grid", "3"]),
+])
+def test_spectrum_out_into_missing_directory(matrix_file, shift_file,
+                                             tmp_path, capsys, doc, extra):
+    path = matrix_file if doc == "matrix" else shift_file
+    target = tmp_path / "missing" / "x.csv"
+    code, out = run(["spectrum", path, "--out", str(target)] + extra)
+    assert code == EXIT_PARSE and out == ""
+    assert _one_error_line(capsys, "error: cannot write ")
+
+
+def test_spectrum_unwritable_grid_file(shift_file, tmp_path, capsys):
+    # the set file can be written; the grid file's path is a directory
+    (tmp_path / "x_grid.csv").mkdir()
+    code, out = run(["spectrum", shift_file, "--set", "sigma_s", "--grid",
+                     "3", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_PARSE and out == ""
+    assert _one_error_line(capsys, "error: cannot write ")
+    assert (tmp_path / "x.csv").exists()
+
+
 def test_spectrum_grid_raster(shift_file):
     code, out = run(["spectrum", shift_file, "--set", "sigma_s", "--grid", "7"])
     assert code == EXIT_OK
@@ -255,18 +293,6 @@ def test_check_single_operator_file(shift_file):
     assert "suite,cases,failures" in out
 
 
-def test_check_env_seed_override(monkeypatch):
-    monkeypatch.delenv("QSPECTRAL_SEED", raising=False)
-    code_a, out_a = run(["check", "--corpus", "7,6"])
-    monkeypatch.setenv("QSPECTRAL_SEED", "7")
-    code_b, out_b = run(["check", "--corpus", "5,6"])
-    assert code_a == code_b == EXIT_OK
-    assert out_a == out_b
-    monkeypatch.setenv("QSPECTRAL_SEED", "not-a-number")
-    code_c, _ = run(["check", "--corpus", "5,6"])
-    assert code_c == EXIT_PARSE
-
-
 def test_check_detects_sabotaged_classifier():
     def sabotaged(op, p):
         cls = classify(op, p)
@@ -318,6 +344,26 @@ def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "offset" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"matrix": [[[1, 0, 0, 0]]], "basis": [[[5, 0, 0, 0]]]},
+    {"structured": {"shift_tails": [{"weight": 1}]}, "basis": None},
+    {"structured": {"shift_tails": [{"weight": 1}]}, "comment": "x"},
+    {"structured": {"shift_tails": [{"weight": 0}]}},
+    {"structured": {"shift_tails": [{"weight": 1, "direction": "up"}]}},
+    {"structured": {"diagonal_families": [
+        {"kind": "geometric", "limit": [0, 0, 0, 0],
+         "offset": [1, 0, 0, 0], "ratio": 2}]}},
+])
+def test_exit_parse_rejected_documents(tmp_path, capsys, doc):
+    # a top-level key besides the one operator, or a value the operator
+    # classes reject, is a parse error with one line on stderr
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["spectrum", str(path)])
+    assert code == EXIT_PARSE and out == ""
+    assert _one_error_line(capsys)
 
 
 def test_exit_unsupported_on_unterminated_scan(tmp_path, monkeypatch, capsys):

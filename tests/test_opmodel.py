@@ -55,13 +55,17 @@ def test_constructor_validation():
 
 
 def test_coordinate_layout_round_trip():
-    op = BLOCK_CONST
-    assert op.block_dim == 1 and op.n_infinite == 1
-    for comp in range(op.n_infinite):
-        for m in range(4):
-            i = op.coord_of(comp, m)
-            assert op.split_coord(i) == (comp, m)
-    assert op.split_coord(0) == (-1, 0)
+    """coord_of interleaves the components after the block: the first four
+    entries of every component fill the indices from block_dim on with no
+    gap and no index twice."""
+    two = StructuredOperator(BLOCK_CONST.finite_block,
+                             BLOCK_CONST.diagonal_families,
+                             (ShiftTail(1), ShiftTail(2, BACKWARD)))
+    for op in (BLOCK_CONST, two):
+        assert op.block_dim == 1
+        k = op.n_infinite
+        coords = [op.coord_of(comp, m) for m in range(4) for comp in range(k)]
+        assert coords == list(range(op.block_dim, op.block_dim + 4 * k))
 
 
 # -- geometric sphere matching ----------------------------------------

@@ -1,13 +1,13 @@
 """Quaternion arithmetic against a hand-written multiplication table."""
 
-import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
+import qspectral.quat as quat_mod
 from qspectral.errors import DomainError
-from qspectral.quat import (HalfPlanePoint, Quaternion, quat, sphere_of,
+from qspectral.quat import (HalfPlanePoint, Quaternion, sphere_of,
                             slice_representative)
 
 ONE = Quaternion(1)
@@ -91,9 +91,6 @@ def test_half_plane_point_irrational_radius_exact():
 
 
 def test_half_plane_point_s_cached_and_unchanged(monkeypatch):
-    # the package exports the function quat, which shadows the module
-    quat_mod = importlib.import_module("qspectral.quat")
-
     def formula(s_sq):
         exact = quat_mod._exact_sqrt(s_sq)
         return float(exact) if exact is not None else math.sqrt(float(s_sq))
@@ -154,5 +151,12 @@ def test_slice_representative_round_trip():
 
 
 def test_quat_accepts_mixed_literals():
-    assert quat(1, Fraction(1, 2)) == Quaternion(1, Fraction(1, 2), 0, 0)
-    assert quat(0.25).q0 == Fraction(1, 4)
+    q = Quaternion(1, Fraction(1, 2))
+    assert q.components() == (1, Fraction(1, 2), 0, 0)
+    assert all(isinstance(c, Fraction) for c in q.components())
+    assert Quaternion(0.25).q0 == Fraction(1, 4)
+
+
+def test_import_as_binds_the_module():
+    # a package attribute named quat would shadow the submodule here
+    assert quat_mod.__name__ == "qspectral.quat"
