@@ -17,10 +17,9 @@ import numpy as np
 
 from . import oracle as _oracle
 from .leftmul import adjoint_identities_check, left_scalar_op, left_scalar_vec
-from .opmodel import (BACKWARD, FORWARD, INVARIANT_SETS, ConstantFamily,
-                      GeometricFamily, Membership, ShiftTail,
-                      SpectralClassification, StructuredOperator, classify,
-                      perturb)
+from .opmodel import (BACKWARD, FORWARD, ConstantFamily, GeometricFamily,
+                      Membership, ShiftTail, SpectralClassification,
+                      StructuredOperator, classify, is_invariant, perturb)
 from .qmat import (HilbertBasis, QMatrix, QVector, adjoint, basis_vector, chi,
                    kernel_basis, kernel_dim_numeric, rank)
 from .quat import HalfPlanePoint, Quaternion, sphere_of
@@ -162,10 +161,11 @@ def sample_points(op: StructuredOperator, rng: random.Random,
 
 
 def _flags(cls: SpectralClassification) -> Optional[dict]:
-    if cls.in_spectrum is Membership.DELEGATED:
+    """{set name: bool, "stratum": in some sigma_k}; None if delegated."""
+    if cls.sets["sigma_s"] is Membership.DELEGATED:
         return None
-    f = {name: v is Membership.IN for name, v in cls.memberships().items()}
-    f["stratum"] = cls.index_stratum
+    f = {name: v is Membership.IN for name, v in cls.sets.items()}
+    f["stratum"] = any(name.startswith("sigma_k:") for name in cls.sets)
     return f
 
 
@@ -198,7 +198,7 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
                      f["sigma_cs"]]) == 1,
                 lambda op=op, p=p: _ce(op, p, "partition violated"))
             schechter.record(
-                f["ws"] == (f["sigma_e"] or (f["stratum"] not in (None, 0)))
+                f["ws"] == (f["sigma_e"] or f["stratum"])
                 and f["ws"] == (f["sigma_s"] and not f["sigma_0"]),
                 lambda op=op, p=p: _ce(op, p, "Schechter identity violated"))
             essdec.record(
@@ -206,8 +206,7 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
                 and not f["sigma_plus_inf"] and not f["sigma_minus_inf"],
                 lambda op=op, p=p: _ce(op, p, "essential decomposition violated"))
             strat.record(
-                f["sigma_s"] == (f["sigma_e"] or f["sigma_0"]
-                                 or f["stratum"] not in (None, 0)),
+                f["sigma_s"] == (f["sigma_e"] or f["sigma_0"] or f["stratum"]),
                 lambda op=op, p=p: _ce(op, p, "spectrum stratification violated"))
             chain.record(
                 (not f["sigma_e"] or f["ws"]) and (not f["ws"] or f["bs"])
@@ -260,8 +259,7 @@ def suite_regions(ops: Sequence[StructuredOperator]) -> list[SuiteResult]:
                   if n.startswith("sigma_k:")]
         a_e, a_ws, a_s = _atoms(base, "sigma_e"), _atoms(base, "ws"), _atoms(base, "sigma_s")
         a_0 = _atoms(base, "sigma_0")
-        a_knz = frozenset().union(*[_atoms(base, n) for n in strata
-                                    if n != "sigma_k:0"]) if strata else frozenset()
+        a_knz = frozenset().union(*[_atoms(base, n) for n in strata])
         ok = (a_e <= a_ws <= a_s
               and ((a_e == a_ws) == (not a_knz))
               and a_s == (a_ws | a_0) and not (a_ws & a_0)
@@ -285,8 +283,7 @@ def suite_perturbation(ops: Sequence[StructuredOperator], rng: random.Random,
     for op in ops:
         base = op.unperturbed()
         before = spectrum_regions(base)
-        inv_keys = [k for k in before
-                    if k in INVARIANT_SETS or k.startswith("sigma_k:")]
+        inv_keys = [k for k in before if is_invariant(k)]
         for _ in range(per_op):
             pert = perturb(base, random_perturbation(rng, base))
             after = spectrum_regions(pert)
@@ -313,7 +310,7 @@ def suite_oracle(ops: Sequence[StructuredOperator], rng: random.Random,
             if report.verdict == _oracle.INCONCLUSIVE:
                 continue
             cls = classify_fn(op, p)
-            res.record(_oracle.agreement(cls.in_spectrum, report),
+            res.record(_oracle.agreement(cls.sets["sigma_s"], report),
                        lambda op=op, p=p, r=report: _ce(
                            op, p, f"oracle {r.verdict} vs classifier"))
     return [res]
@@ -448,7 +445,6 @@ def run_all(ops: Sequence[StructuredOperator], seed: int,
             include_oracle: bool = True,
             include_matrices: bool = True,
             require_witnesses: bool = True) -> list[SuiteResult]:
-    rng = random.Random(seed)
     results = []
     results += suite_pointwise(ops, random.Random(seed + 1), classify_fn,
                                require_witnesses=require_witnesses)

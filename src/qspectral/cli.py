@@ -114,7 +114,7 @@ def _grid_csv(op: StructuredOperator, names: Sequence[str], n_u: int,
     w = csv.writer(out)
     w.writerow(["u", "s"] + list(names) + ["near_boundary"])
     for p in _grid_points(n_u):
-        flags = classify_fn(op, p).memberships()
+        flags = classify_fn(op, p).sets
         row = [float(p.u), p.s]
         for name in names:
             row.append(GRID_CELLS[flags.get(name, Membership.OUT)])
@@ -210,26 +210,28 @@ def cmd_classify(args, stdout, classify_fn: ClassifyFn) -> int:
 
     op = doc.structured
     cls = classify_fn(op, p)
+    shown = {name: _show(v) for name, v in cls.sets.items()}
+    semi = not (cls.sets["sigma_el"] and cls.sets["sigma_er"])
+    strata = [n.partition(":")[2] for n in cls.sets if n.startswith("sigma_k:")]
     stdout.write(f"point: ({float(p.u)}, {p.s})\n")
     stdout.write(f"verdict: {cls.partition_tag()}\n")
-    stdout.write(f"in sigma_S: {_show(cls.in_spectrum)}\n")
+    stdout.write(f"in sigma_S: {shown['sigma_s']}\n")
     stdout.write(f"dim ker R_q: {_show(cls.ker_dim)}\n")
-    stdout.write(f"essential (sigma_e): {_show(cls.essential)}; "
-                 f"left: {_show(cls.ess_left)}; right: {_show(cls.ess_right)}\n")
-    stdout.write(f"semi-Fredholm: {cls.semi_fredholm}; "
-                 f"Fredholm: {cls.fredholm}; "
-                 f"index: {cls.index if cls.semi_fredholm else 'undefined'}\n")
-    stdout.write(f"sigma_k stratum: {_show(cls.index_stratum)}\n"
-                 if cls.index_stratum is not None else "")
-    stdout.write(f"sigma_plus_inf: {_show(cls.sigma_plus_inf)}; "
-                 f"sigma_minus_inf: {_show(cls.sigma_minus_inf)}\n")
-    stdout.write(f"sigma_0: {_show(cls.sigma0)}\n")
-    stdout.write(f"in ws: {_show(cls.weyl)}; in Bs: {_show(cls.browder)}\n")
+    stdout.write(f"essential (sigma_e): {shown['sigma_e']}; "
+                 f"left: {shown['sigma_el']}; right: {shown['sigma_er']}\n")
+    stdout.write(f"semi-Fredholm: {semi}; "
+                 f"Fredholm: {cls.sets['sigma_e'] is Membership.OUT}; "
+                 f"index: {cls.index if semi else 'undefined'}\n")
+    stdout.write("".join(f"sigma_k stratum: {k}\n" for k in strata))
+    stdout.write(f"sigma_plus_inf: {shown['sigma_plus_inf']}; "
+                 f"sigma_minus_inf: {shown['sigma_minus_inf']}\n")
+    stdout.write(f"sigma_0: {shown['sigma_0']}\n")
+    stdout.write(f"in ws: {shown['ws']}; in Bs: {shown['bs']}\n")
     stdout.write(f"asc(R_q): {_show(cls.ascent)}; "
                  f"dsc(R_q): {_show(cls.descent)}\n")
-    stdout.write(f"isolated: {_show(cls.isolated)}; "
-                 f"accumulation: {_show(cls.accumulation)}; "
-                 f"pi_0: {_show(cls.pi0)}\n")
+    stdout.write(f"isolated: {shown['iso']}; "
+                 f"accumulation: {shown['acc']}; "
+                 f"pi_0: {shown['pi_0']}\n")
     if args.oracle:
         rep = cross_check(op, p)
         stdout.write("oracle truncation report (N, min_sv, ker, adj_ker):\n")
@@ -237,7 +239,7 @@ def cmd_classify(args, stdout, classify_fn: ClassifyFn) -> int:
             stdout.write(f"  {row['N']}, {row['min_singular_value']:.6e}, "
                          f"{row['ker_dim']}, {row['adj_ker_dim']}\n")
         stdout.write(f"oracle verdict: {rep.verdict}\n")
-        ok = agreement(cls.in_spectrum, rep)
+        ok = agreement(cls.sets["sigma_s"], rep)
         stdout.write(f"oracle/classifier agreement: {'ok' if ok else 'DISAGREE'}\n")
         if not ok:
             return EXIT_VIOLATION

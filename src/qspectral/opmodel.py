@@ -5,14 +5,15 @@ weighted unilateral shift tails, plus an optional finite-rank perturbation.
 Each summand occupies its own orthogonal subspace, so kernels, cokernels,
 indices and ascent/descent combine by simple direct-sum rules; the
 perturbation is handled through the compact-perturbation invariance
-theorems (essential sets, index strata and the Weyl set do not move), and
-everything that is not invariant is delegated to the numerical oracle.
+theorems: the sets that is_invariant names do not move, and every other
+set is delegated to the numerical oracle.  A classification is a table
+keyed by set name (SET_NAMES, plus the index stratum sigma_k:<index>).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -155,6 +156,11 @@ class StructuredOperator:
         object.__setattr__(self, "diagonal_families", tuple(diagonal_families))
         object.__setattr__(self, "shift_tails", tuple(shift_tails))
         object.__setattr__(self, "perturbation", tuple(perturbation))
+        # with no infinite component a perturbation vector must fit the block
+        if self.n_infinite == 0 and any(v.length > self.block_dim
+                                        for pair in self.perturbation
+                                        for v in pair):
+            raise DomainError("perturbation support exceeds the space")
 
     # -- structure -----------------------------------------------------
     @property
@@ -214,10 +220,6 @@ class StructuredOperator:
 def perturb(op: StructuredOperator,
             pairs: Sequence[tuple[QVector, QVector]]) -> StructuredOperator:
     """Attach/extend the finite-rank perturbation sum psi_j <phi_j|.>."""
-    for psi, phi in pairs:
-        for v in (psi, phi):
-            if op.n_infinite == 0 and v.length > op.block_dim:
-                raise DomainError("perturbation support exceeds the space")
     return StructuredOperator(op.finite_block, op.diagonal_families,
                               op.shift_tails, op.perturbation + tuple(pairs))
 
@@ -336,75 +338,48 @@ def _analyze_components(op: StructuredOperator,
 # classification
 # ---------------------------------------------------------------------
 
-# The spectral sets by name, in output order, each mapped to the
-# SpectralClassification field that holds a point's membership in it.
-_SET_FIELDS = {
-    "sigma_s": "in_spectrum", "sigma_ps": "point_spectrum",
-    "sigma_rs": "residual_spectrum", "sigma_cs": "continuous_spectrum",
-    "sigma_el": "ess_left", "sigma_er": "ess_right", "sigma_e": "essential",
-    "sigma_0": "sigma0", "ws": "weyl", "bs": "browder",
-    "sigma_plus_inf": "sigma_plus_inf", "sigma_minus_inf": "sigma_minus_inf",
-    "iso": "isolated", "acc": "accumulation", "pi_0": "pi0",
-}
-SET_NAMES = tuple(_SET_FIELDS)
+# The spectral sets by name, in output order.
+SET_NAMES = ("sigma_s", "sigma_ps", "sigma_rs", "sigma_cs", "sigma_el",
+             "sigma_er", "sigma_e", "sigma_0", "ws", "bs", "sigma_plus_inf",
+             "sigma_minus_inf", "iso", "acc", "pi_0")
 # unchanged by finite-rank (compact) perturbations, as are the strata sigma_k
 INVARIANT_SETS = ("sigma_e", "sigma_el", "sigma_er", "ws",
                   "sigma_plus_inf", "sigma_minus_inf")
 
 
+def is_invariant(name: str) -> bool:
+    """Whether a finite-rank perturbation leaves the set ``name`` exact."""
+    return name in INVARIANT_SETS or name.startswith("sigma_k:")
+
+
 @dataclass
 class SpectralClassification:
+    """A point's membership in each set of SET_NAMES, in order, plus
+    sigma_k:<index> (IN) when the index is nonzero.  None stands for a
+    delegated ker_dim/ascent/descent, and for an undefined index."""
+
     point: HalfPlanePoint
-    in_spectrum: Membership
-    point_spectrum: Membership
-    residual_spectrum: Membership
-    continuous_spectrum: Membership
+    sets: dict[str, Membership]
     ker_dim: Optional[float]
-    ess_left: Membership
-    ess_right: Membership
-    essential: Membership
-    semi_fredholm: bool
-    fredholm: bool
     index: Optional[int]
-    index_stratum: Optional[int]
-    sigma0: Membership
-    weyl: Membership
-    browder: Membership
     ascent: Optional[float]
     descent: Optional[float]
-    isolated: Membership = Membership.DELEGATED
-    accumulation: Membership = Membership.DELEGATED
-    pi0: Membership = Membership.DELEGATED
-
-    # On this class a semi-Fredholm pseudo-resolvent is Fredholm, so the
-    # semi-Fredholm sets of index +inf and -inf are empty.
-    sigma_plus_inf = Membership.OUT
-    sigma_minus_inf = Membership.OUT
-
-    def memberships(self) -> dict[str, Membership]:
-        """{set name: membership} over SET_NAMES, plus sigma_k:<stratum>."""
-        out = {name: getattr(self, f) for name, f in _SET_FIELDS.items()}
-        if self.index_stratum is not None:
-            out[f"sigma_k:{self.index_stratum}"] = Membership.IN
-        return out
 
     def partition_tag(self) -> str:
-        if self.in_spectrum is Membership.DELEGATED:
+        if self.sets["sigma_s"] is Membership.DELEGATED:
             return "unknown-delegated"
-        if not self.in_spectrum:
+        if not self.sets["sigma_s"]:
             return "resolvent"
-        if self.point_spectrum is Membership.IN:
-            return "sigma_pS"
-        if self.residual_spectrum is Membership.IN:
-            return "sigma_rS"
-        if self.continuous_spectrum is Membership.IN:
-            return "sigma_cS"
+        for name, tag in (("sigma_ps", "sigma_pS"), ("sigma_rs", "sigma_rS"),
+                          ("sigma_cs", "sigma_cS")):
+            if self.sets[name] is Membership.IN:
+                return tag
         return "unknown-delegated"
 
 
 def classify_core(op: StructuredOperator,
                   p: HalfPlanePoint) -> SpectralClassification:
-    """Everything except the topological flags (iso/acc/pi0)."""
+    """Everything except the topological sets iso/acc/pi_0 (DELEGATED)."""
     a = _analyze_components(op.unperturbed(), p)
 
     semi_left = a.range_closed and a.ker != INF
@@ -413,49 +388,45 @@ def classify_core(op: StructuredOperator,
     index = int(a.ker - a.coker) if fred else None
     in_sigma = not a.invertible
     in_ws = not (fred and index == 0)
-    cls = SpectralClassification(
-        point=p,
-        in_spectrum=Membership.of(in_sigma),
-        point_spectrum=Membership.of(a.ker > 0),
-        residual_spectrum=Membership.of(a.ker == 0 and a.coker > 0),
-        continuous_spectrum=Membership.of(
-            in_sigma and a.ker == 0 and a.coker == 0),
-        ker_dim=a.ker,
-        ess_left=Membership.of(not semi_left),
-        ess_right=Membership.of(not semi_right),
-        essential=Membership.of(not fred),
-        # on this class semi-Fredholm and Fredholm coincide
-        semi_fredholm=semi_left or semi_right,
-        fredholm=fred,
-        index=index,
-        index_stratum=index if (fred and index != 0) else None,
-        sigma0=Membership.of(in_sigma and not in_ws),
-        weyl=Membership.of(in_ws),
-        browder=Membership.of(
-            not (fred and a.asc != INF and a.dsc != INF)),
-        ascent=a.asc,
-        descent=a.dsc,
-    )
-    if not op.is_perturbed:
-        return cls
-    # perturbed: only the compact-perturbation invariants are exact
-    d = Membership.DELEGATED
-    return replace(cls, in_spectrum=Membership.IN if in_ws else d,
-                   point_spectrum=d, residual_spectrum=d,
-                   continuous_spectrum=d, ker_dim=None, sigma0=d, browder=d,
-                   ascent=None, descent=None)
+    flags = {
+        "sigma_s": in_sigma,
+        "sigma_ps": a.ker > 0,
+        "sigma_rs": a.ker == 0 and a.coker > 0,
+        "sigma_cs": in_sigma and a.ker == 0 and a.coker == 0,
+        "sigma_el": not semi_left,
+        "sigma_er": not semi_right,
+        "sigma_e": not fred,
+        "sigma_0": in_sigma and not in_ws,
+        "ws": in_ws,
+        "bs": not (fred and a.asc != INF and a.dsc != INF),
+        # a semi-Fredholm R_q is Fredholm here, so these sets are empty
+        "sigma_plus_inf": False,
+        "sigma_minus_inf": False,
+    }
+    # a perturbation leaves exact only the sets is_invariant names; sigma_s
+    # contains ws either way
+    exact = not op.is_perturbed
+    sets = {name: Membership.of(flags[name])
+            if name in flags and (exact or is_invariant(name))
+            else Membership.DELEGATED for name in SET_NAMES}
+    if in_ws:
+        sets["sigma_s"] = Membership.IN
+    if index:
+        sets[f"sigma_k:{index}"] = Membership.IN
+    if exact:
+        return SpectralClassification(p, sets, a.ker, index, a.asc, a.dsc)
+    return SpectralClassification(p, sets, None, index, None, None)
 
 
 def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassification:
-    """Full per-sphere verdict, including iso/acc/pi0 for unperturbed input."""
+    """Full per-sphere verdict, including iso/acc/pi_0 for unperturbed input."""
     cls = classify_core(op, p)
     if op.is_perturbed:
         return cls
     from .regions import spectrum_regions
     regs = spectrum_regions(op)
-    cls.isolated = Membership.of(regs["iso"].contains(p))
-    cls.accumulation = Membership.of(regs["acc"].contains(p))
-    cls.pi0 = Membership.of(regs["pi_0"].contains(p))
+    for name in ("iso", "acc", "pi_0"):
+        cls.sets[name] = Membership.of(regs[name].contains(p))
     return cls
 
 
@@ -465,8 +436,7 @@ def fredholm_index(op: StructuredOperator, p: HalfPlanePoint) -> Optional[int]:
     On the supported class a semi-Fredholm pseudo-resolvent is Fredholm,
     so the value is always a finite integer when defined.
     """
-    cls = classify_core(op, p)
-    return cls.index if cls.semi_fredholm else None
+    return classify_core(op, p).index
 
 
 def weyl_spectrum(op: StructuredOperator):

@@ -18,9 +18,9 @@ from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError
-from .opmodel import (INVARIANT_SETS, SET_NAMES, ConstantFamily,
-                      GeometricFamily, Membership, StructuredOperator,
-                      classify_core, geometric_sphere_indices)
+from .opmodel import (ConstantFamily, GeometricFamily, Membership,
+                      StructuredOperator, classify_core,
+                      geometric_sphere_indices, is_invariant)
 from .quat import HalfPlanePoint, sphere_of
 from .spec_fd import right_eigenspheres
 
@@ -377,13 +377,9 @@ def new_frame(base: StructuredOperator) -> Frame:
         atoms.append(Atom(SequencePrim(f, m0), rep,
                           _radial_index(radii, rep.radius_sq)))
 
-    strata: set[int] = set()
     for a in atoms:
-        cls = classify_core(base, a.rep)
         a.flags = {name: v is Membership.IN
-                   for name, v in cls.memberships().items()}
-        if cls.index_stratum is not None:
-            strata.add(cls.index_stratum)
+                   for name, v in classify_core(base, a.rep).sets.items()}
 
     # topological flags from the frame structure
     limit_tails: dict[PointPrim, list[Atom]] = {}
@@ -408,7 +404,8 @@ def new_frame(base: StructuredOperator) -> Frame:
         d["pi_0"] = iso and d["sigma_0"]
 
     frame = Frame(radii, atoms)
-    for name in SET_NAMES + tuple(f"sigma_k:{k}" for k in sorted(strata)):
+    # SET_NAMES, then each index stratum that some atom carries
+    for name in dict.fromkeys(n for a in atoms for n in a.flags):
         frame.regions[name] = _build_region(frame, name)
     return frame
 
@@ -472,8 +469,7 @@ def _build_region(frame: Frame, name: str) -> RegionSet:
 def spectrum_regions(op: StructuredOperator) -> dict[str, RegionSet]:
     regs = build_frame(op).regions
     if op.is_perturbed:
-        return {k: v for k, v in regs.items()
-                if k in INVARIANT_SETS or k.startswith("sigma_k:")}
+        return {k: v for k, v in regs.items() if is_invariant(k)}
     return dict(regs)
 
 

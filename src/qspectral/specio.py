@@ -2,11 +2,13 @@
 
 A document is an object with exactly one key: "matrix" (nested arrays of
 quaternion 4-arrays) or "structured" (finite block, diagonal families,
-shift tails, perturbation).  The parser checks the document's shape; the
-operator classes check their own values, and any DomainError they raise
-becomes a SpecFileError in document_from_obj.  Rationals may be written
-as numbers or as "p/q" strings; dumps use the string form so that a
-dumped operator re-parses to an equal one.
+shift tails, perturbation; each of the last three absent, null or an
+array).  The parser checks the document's shape; the operator classes
+check their own values (e.g. that a perturbation fits a space with no
+infinite component), and any DomainError they raise becomes a
+SpecFileError in document_from_obj.  Rationals may be written as numbers
+or as "p/q" strings; dumps use the string form so that a dumped operator
+re-parses to an equal one.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def _field(obj: dict, key: str, what: str) -> Any:
     return obj[key]
 
 
+def _array(obj: dict, key: str) -> list:
+    items = obj.get(key)
+    if items is not None and not isinstance(items, list):
+        raise SpecFileError(f"{key!r} must be an array")
+    return items or []
+
+
 def structured_from_obj(obj: Any) -> StructuredOperator:
     if not isinstance(obj, dict):
         raise SpecFileError('"structured" must be an object')
@@ -91,7 +100,7 @@ def structured_from_obj(obj: Any) -> StructuredOperator:
     block = obj.get("finite_block")
     block = matrix_from_obj(block) if block is not None else None
     fams = []
-    for f in obj.get("diagonal_families", []) or []:
+    for f in _array(obj, "diagonal_families"):
         if not isinstance(f, dict) or "kind" not in f:
             raise SpecFileError("diagonal family needs a 'kind'")
         if f["kind"] == "constant":
@@ -105,13 +114,13 @@ def structured_from_obj(obj: Any) -> StructuredOperator:
         else:
             raise SpecFileError(f"unknown family kind {f['kind']!r}")
     tails = []
-    for t in obj.get("shift_tails", []) or []:
+    for t in _array(obj, "shift_tails"):
         if not isinstance(t, dict) or "weight" not in t:
             raise SpecFileError("shift tail needs a 'weight'")
         tails.append(ShiftTail(_num(t["weight"]),
                                t.get("direction", FORWARD)))
     pert = []
-    for pair in obj.get("perturbation", []) or []:
+    for pair in _array(obj, "perturbation"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SpecFileError("perturbation entries are [psi, phi] pairs")
         pert.append((vector_from_obj(pair[0]), vector_from_obj(pair[1])))

@@ -178,7 +178,7 @@ def test_criterion_07_perturbation_invariance():
     zero = HalfPlanePoint(0, 0)
     assert weyl_spectrum(pert).same_set(weyl_spectrum(base))
     assert weyl_spectrum(base).same_set(region_point(1, 0))
-    assert classify(base, zero).in_spectrum is Membership.OUT
+    assert classify(base, zero).sets["sigma_s"] is Membership.OUT
     assert cross_check(pert, zero).verdict == VANISHING
     assert cross_check(pert, one).verdict == VANISHING
     _report("PASS criterion-7 essential/index/Weyl sets invariant under "
@@ -205,7 +205,7 @@ def test_criterion_08_shift_anchor_with_oracle():
             continue
         rep = cross_check(shift, p)
         cls = classify(shift, p)
-        assert agreement(cls.in_spectrum, rep), \
+        assert agreement(cls.sets["sigma_s"], rep), \
             f"oracle {rep.verdict} at ({float(p.u)}, {p.s})"
         checked += 1
     boundary = cross_check(shift, HalfPlanePoint(1, 0),

@@ -48,10 +48,11 @@ def test_oracle_suite_green_on_exemplars():
 def _sabotaged(op, p):
     """A classifier that reports every Weyl verdict inverted."""
     cls = classify(op, p)
-    if cls.weyl is Membership.DELEGATED:
+    if cls.sets["ws"] is Membership.DELEGATED:
         return cls
-    flipped = (Membership.OUT if cls.weyl is Membership.IN else Membership.IN)
-    return dataclasses.replace(cls, weyl=flipped)
+    flipped = (Membership.OUT if cls.sets["ws"] is Membership.IN
+               else Membership.IN)
+    return dataclasses.replace(cls, sets={**cls.sets, "ws": flipped})
 
 
 def test_pointwise_suites_detect_sabotage():
@@ -64,9 +65,9 @@ def test_pointwise_suites_detect_sabotage():
 
 def _resolvent_everywhere(op, p):
     cls = classify(op, p)
-    return dataclasses.replace(
-        cls, in_spectrum=Membership.OUT, point_spectrum=Membership.OUT,
-        residual_spectrum=Membership.OUT, continuous_spectrum=Membership.OUT)
+    partition = ("sigma_s", "sigma_ps", "sigma_rs", "sigma_cs")
+    return dataclasses.replace(cls, sets={
+        **cls.sets, **dict.fromkeys(partition, Membership.OUT)})
 
 
 def test_oracle_suite_detects_sabotage():

@@ -269,7 +269,8 @@ def test_classify_negative_u_as_separate_argument(matrix_file, shift_file):
 def test_classify_oracle_disagreement_exits_one(shift_file):
     def wrong(op, p):
         cls = classify(op, p)
-        return dataclasses.replace(cls, in_spectrum=Membership.OUT)
+        return dataclasses.replace(
+            cls, sets={**cls.sets, "sigma_s": Membership.OUT})
     code, out = run(["classify", shift_file, "--point", "0,0", "--oracle"],
                     classify_fn=wrong)
     assert code == EXIT_VIOLATION
@@ -296,11 +297,11 @@ def test_check_single_operator_file(shift_file):
 def test_check_detects_sabotaged_classifier():
     def sabotaged(op, p):
         cls = classify(op, p)
-        if cls.weyl is Membership.DELEGATED:
+        if cls.sets["ws"] is Membership.DELEGATED:
             return cls
-        flipped = (Membership.OUT if cls.weyl is Membership.IN
+        flipped = (Membership.OUT if cls.sets["ws"] is Membership.IN
                    else Membership.IN)
-        return dataclasses.replace(cls, weyl=flipped)
+        return dataclasses.replace(cls, sets={**cls.sets, "ws": flipped})
     code, out = run(["check", "--corpus", "11,4"], classify_fn=sabotaged)
     assert code == EXIT_VIOLATION
     assert "counterexamples:" in out
@@ -355,15 +356,35 @@ def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
     {"structured": {"diagonal_families": [
         {"kind": "geometric", "limit": [0, 0, 0, 0],
          "offset": [1, 0, 0, 0], "ratio": 2}]}},
+    # a length-2 vector in the 1-dimensional space of a lone 1x1 block
+    {"structured": {"finite_block": [[[1, 0, 0, 0]]], "perturbation": [
+        [[[1, 0, 0, 0], [1, 0, 0, 0]], [[1, 0, 0, 0]]]]}},
 ])
 def test_exit_parse_rejected_documents(tmp_path, capsys, doc):
     # a top-level key besides the one operator, or a value the operator
     # classes reject, is a parse error with one line on stderr
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["spectrum", str(path)])
-    assert code == EXIT_PARSE and out == ""
-    assert _one_error_line(capsys)
+    for argv in (["spectrum", str(path)],
+                 ["classify", str(path), "--point", "0,0", "--oracle"]):
+        code, out = run(argv)
+        assert code == EXIT_PARSE and out == ""
+        assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key", ["diagonal_families", "shift_tails",
+                                 "perturbation"])
+@pytest.mark.parametrize("value", [5, True, "ab", {}])
+def test_exit_parse_list_key_not_an_array(tmp_path, capsys, key, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"structured": {key: value}}))
+    for argv in (["spectrum", str(path)],
+                 ["classify", str(path), "--point", "0,0"]):
+        code, out = run(argv)
+        assert code == EXIT_PARSE and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert key in err[0]
 
 
 def test_exit_unsupported_on_unterminated_scan(tmp_path, monkeypatch, capsys):

@@ -12,9 +12,10 @@ from qspectral.opmodel import (BACKWARD, SET_NAMES, ConstantFamily,
                                GeometricFamily, Membership, ShiftTail,
                                StructuredOperator, browder_spectrum, classify,
                                fredholm_index, geometric_sphere_indices,
-                               perturb, weyl_spectrum)
+                               is_invariant, perturb, weyl_spectrum)
 from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
+from qspectral.regions import spectrum_regions
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -132,32 +133,34 @@ def test_shift_interior():
     cls = classify(SHIFT, hp(HALF))
     assert cls.partition_tag() == "sigma_rS"
     assert cls.ker_dim == 0
-    assert cls.fredholm and cls.index == -2 and cls.index_stratum == -2
-    assert cls.essential is Membership.OUT
-    assert cls.weyl is Membership.IN and cls.browder is Membership.IN
+    assert cls.index == -2 and "sigma_k:-2" in cls.sets
+    assert cls.sets["sigma_e"] is Membership.OUT
+    assert cls.sets["ws"] is Membership.IN and cls.sets["bs"] is Membership.IN
     assert cls.ascent == 0 and cls.descent == INF
-    assert cls.sigma0 is Membership.OUT
+    assert cls.sets["sigma_0"] is Membership.OUT
 
 
 def test_shift_boundary():
     cls = classify(SHIFT, hp(1))
     assert cls.partition_tag() == "sigma_cS"
-    assert not cls.semi_fredholm and cls.index is None
-    assert cls.essential is Membership.IN
+    assert cls.sets["sigma_el"] is cls.sets["sigma_er"] is Membership.IN
+    assert cls.index is None
+    assert cls.sets["sigma_e"] is Membership.IN
     assert fredholm_index(SHIFT, hp(1)) is None
 
 
 def test_shift_outside():
     cls = classify(SHIFT, hp(2))
     assert cls.partition_tag() == "resolvent"
-    assert cls.fredholm and cls.index == 0
-    assert cls.weyl is Membership.OUT and cls.browder is Membership.OUT
+    assert cls.index == 0
+    assert not any(n.startswith("sigma_k:") for n in cls.sets)
+    assert cls.sets["ws"] is Membership.OUT and cls.sets["bs"] is Membership.OUT
 
 
 def test_shift_rotation_invariance():
     # membership depends only on (u, s^2): a non-real point on |q| < 1
     cls = classify(SHIFT, HalfPlanePoint(HALF, HALF))
-    assert cls.in_spectrum is Membership.IN
+    assert cls.sets["sigma_s"] is Membership.IN
     assert cls.index == -2
 
 
@@ -173,10 +176,10 @@ def test_backward_shift_interior():
 def test_forward_plus_backward_weyl_but_not_browder():
     cls = classify(BOTH, hp(HALF))
     assert cls.ker_dim == 2 and cls.index == 0
-    assert cls.fredholm
-    assert cls.sigma0 is Membership.IN
-    assert cls.weyl is Membership.OUT
-    assert cls.browder is Membership.IN      # infinite ascent and descent
+    assert cls.sets["sigma_e"] is Membership.OUT
+    assert cls.sets["sigma_0"] is Membership.IN
+    assert cls.sets["ws"] is Membership.OUT
+    assert cls.sets["bs"] is Membership.IN      # infinite ascent and descent
     assert cls.ascent == INF and cls.descent == INF
 
 
@@ -194,8 +197,8 @@ def test_constant_family_sphere():
     cls = classify(CONST_I, HalfPlanePoint.from_s_sq(0, 1))
     assert cls.partition_tag() == "sigma_pS"
     assert cls.ker_dim == INF
-    assert cls.essential is Membership.IN
-    assert cls.isolated is Membership.IN and cls.pi0 is Membership.OUT
+    assert cls.sets["sigma_e"] is Membership.IN
+    assert cls.sets["iso"] is Membership.IN and cls.sets["pi_0"] is Membership.OUT
     off = classify(CONST_I, hp(1, 1))
     assert off.partition_tag() == "resolvent"
 
@@ -204,27 +207,27 @@ def test_geometric_family_eigenvalue_point():
     cls = classify(GEOM, hp(Fraction(1, 4)))
     assert cls.partition_tag() == "sigma_pS"
     assert cls.ker_dim == 1 and cls.index == 0
-    assert cls.sigma0 is Membership.IN
-    assert cls.browder is Membership.OUT
-    assert cls.isolated is Membership.IN and cls.pi0 is Membership.IN
+    assert cls.sets["sigma_0"] is Membership.IN
+    assert cls.sets["bs"] is Membership.OUT
+    assert cls.sets["iso"] is Membership.IN and cls.sets["pi_0"] is Membership.IN
 
 
 def test_geometric_family_limit_point():
     cls = classify(GEOM, hp(0))
     assert cls.partition_tag() == "sigma_cS"
-    assert cls.essential is Membership.IN
+    assert cls.sets["sigma_e"] is Membership.IN
     assert cls.descent == INF
-    assert cls.accumulation is Membership.IN
-    assert cls.pi0 is Membership.OUT
+    assert cls.sets["acc"] is Membership.IN
+    assert cls.sets["pi_0"] is Membership.OUT
 
 
 def test_block_plus_constant_direct_sum():
     at2 = classify(BLOCK_CONST, hp(2))
     assert at2.partition_tag() == "sigma_pS"
     assert at2.ker_dim == 1 and at2.index == 0
-    assert at2.sigma0 is Membership.IN and at2.pi0 is Membership.IN
+    assert at2.sets["sigma_0"] is at2.sets["pi_0"] is Membership.IN
     at0 = classify(BLOCK_CONST, hp(0))
-    assert at0.essential is Membership.IN
+    assert at0.sets["sigma_e"] is Membership.IN
     assert at0.ker_dim == INF
 
 
@@ -236,30 +239,62 @@ def test_perturbed_classification_delegates():
     assert pert.is_perturbed and pert.unperturbed() == SHIFT
     cls = classify(pert, hp(HALF))
     # invariants stay exact, the rest is delegated
-    assert cls.essential is Membership.OUT
-    assert cls.index == -2 and cls.index_stratum == -2
-    assert cls.weyl is Membership.IN
-    assert cls.in_spectrum is Membership.IN        # forced by the Weyl set
-    assert cls.point_spectrum is Membership.DELEGATED
-    assert cls.sigma0 is Membership.DELEGATED
-    assert cls.browder is Membership.DELEGATED
+    assert cls.sets["sigma_e"] is Membership.OUT
+    assert cls.index == -2 and cls.sets["sigma_k:-2"] is Membership.IN
+    assert cls.sets["ws"] is Membership.IN
+    assert cls.sets["sigma_s"] is Membership.IN        # forced by the Weyl set
+    assert cls.sets["sigma_ps"] is Membership.DELEGATED
+    assert cls.sets["sigma_0"] is Membership.DELEGATED
+    assert cls.sets["bs"] is Membership.DELEGATED
     assert cls.ker_dim is None and cls.ascent is None
     out = classify(pert, hp(2))
-    assert out.in_spectrum is Membership.DELEGATED
+    assert out.sets["sigma_s"] is Membership.DELEGATED
     with pytest.raises(DelegatedError):
-        bool(out.in_spectrum)
+        bool(out.sets["sigma_s"])
 
 
 def test_memberships_follow_the_set_table():
     inside = classify(SHIFT, hp(HALF))        # index -2 inside the circle
-    assert list(inside.memberships()) == list(SET_NAMES) + ["sigma_k:-2"]
-    assert inside.memberships()["sigma_k:-2"] is Membership.IN
-    assert inside.memberships()["sigma_rs"] is inside.residual_spectrum
+    assert list(inside.sets) == list(SET_NAMES) + ["sigma_k:-2"]
+    assert inside.sets["sigma_k:-2"] is Membership.IN
+    assert inside.sets["sigma_rs"] is Membership.IN
     outside = classify(SHIFT, hp(2))
-    assert list(outside.memberships()) == list(SET_NAMES)
+    assert list(outside.sets) == list(SET_NAMES)
     for cls in (inside, outside):
-        assert cls.memberships()["sigma_plus_inf"] is Membership.OUT
-        assert cls.memberships()["sigma_minus_inf"] is Membership.OUT
+        assert cls.sets["sigma_plus_inf"] is Membership.OUT
+        assert cls.sets["sigma_minus_inf"] is Membership.OUT
+
+
+def test_perturbation_must_fit_a_space_without_infinite_component():
+    one = QMatrix([[Quaternion(1)]])
+    v1, v2 = QVector([Quaternion(1)]), QVector([Quaternion(1), Quaternion(1)])
+    with pytest.raises(DomainError, match="exceeds the space"):
+        StructuredOperator(finite_block=one, perturbation=((v2, v1),))
+    with pytest.raises(DomainError, match="exceeds the space"):
+        perturb(StructuredOperator(finite_block=one), [(v1, v2)])
+    StructuredOperator(finite_block=one, perturbation=((v1, v1),))
+    # an infinite component makes the space infinite-dimensional
+    long = QVector([Quaternion(1)] * 5)
+    op = StructuredOperator(finite_block=one, shift_tails=(ShiftTail(1),),
+                            perturbation=((long, long),))
+    assert op.is_perturbed
+
+
+def test_perturbed_verdicts_follow_is_invariant():
+    z = QVector([Quaternion(1), Quaternion(0, 1)])
+    pert = perturb(SHIFT, [(z, z)])
+    regs = spectrum_regions(pert)
+    for p in (hp(HALF), hp(0, HALF), hp(1), hp(0, 1), hp(2), hp(1, 1)):
+        cls = classify(pert, p)
+        for name in SET_NAMES:
+            assert (name in regs) == is_invariant(name), name
+            v = cls.sets[name]
+            if name == "sigma_s" and cls.sets["ws"] is Membership.IN:
+                assert v is Membership.IN
+            else:
+                assert (v is Membership.DELEGATED) == (not is_invariant(name))
+        strata = [n for n in cls.sets if n.startswith("sigma_k:")]
+        assert all(is_invariant(n) and n in regs for n in strata)
 
 
 def test_weyl_set_is_perturbation_invariant():
