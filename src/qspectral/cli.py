@@ -4,9 +4,11 @@ Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
 error (including a spec the operator classes reject, e.g. a zero geometric
 offset, an unknown --set name, a non-positive --grid N or --corpus count,
 and an --out file that cannot be opened), 3 unsupported request (a
-delegated set without --oracle, or any other domain or delegation error
-raised while computing, e.g. a tail localization that does not
-terminate), 4 numerical failure.  Errors 2-4 print one line on stderr.
+delegated set without --oracle, a delegated set other than sigma_s with
+it, since the oracle estimates sigma_S alone, or any other domain or
+delegation error raised while computing, e.g. a tail localization that
+does not terminate), 4 numerical failure.  Errors 2-4 print one line on
+stderr.
 The corpus seed comes from --corpus alone.  A negative u may follow
 --point as its own argument (--point -1,0).
 """
@@ -122,7 +124,8 @@ def _grid_csv(op: StructuredOperator, names: Sequence[str], n_u: int,
         w.writerow(row)
 
 
-def _oracle_grid_csv(op: StructuredOperator, name: str, n_u: int, out) -> None:
+def _oracle_grid_csv(op: StructuredOperator, n_u: int, out) -> None:
+    """The oracle's sigma_S verdict at each raster cell."""
     w = csv.writer(out)
     w.writerow(["u", "s", "verdict", "near_boundary"])
     for p in _grid_points(n_u):
@@ -156,12 +159,18 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
               f"operator; re-run with --oracle for a numerical estimate",
               file=sys.stderr)
         return EXIT_UNSUPPORTED
+    unestimated = [n for n in delegated if n != "sigma_s"]
+    if unestimated:
+        print(f"error: set(s) {unestimated} are unknown-delegated for this "
+              f"operator, and --oracle estimates only sigma_s",
+              file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
     def emit(name: str, out) -> None:
         if name in regs:
             _region_csv(name, regs[name], out)
         else:
-            _oracle_grid_csv(op, name, args.grid or 41, out)
+            _oracle_grid_csv(op, args.grid or 41, out)
 
     if args.out is None:
         for name in names:

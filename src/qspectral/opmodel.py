@@ -23,7 +23,7 @@ from .errors import DelegatedError, DomainError
 from .qmat import QMatrix, QVector, adjoint
 from .quat import (HalfPlanePoint, Quaternion, Real, _exact_sqrt, _frac,
                    sphere_of)
-from .spec_fd import block_analysis
+from .spec_fd import FloatSphere, block_analysis, block_singular
 
 INF = math.inf
 
@@ -419,11 +419,28 @@ def classify_core(op: StructuredOperator,
 
 
 def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassification:
-    """Full per-sphere verdict, including iso/acc/pi_0 for unperturbed input."""
-    cls = classify_core(op, p)
+    """Full per-sphere verdict, including iso/acc/pi_0 for unperturbed input.
+
+    An unperturbed operator answers from its frame: off the exceptional
+    spheres and the tails, p has the verdict of the radial atom (cell or
+    circle) that holds it (regions.Frame.locate), as long as the finite
+    block is invertible at p.  That is checked at p itself
+    (spec_fd.block_singular, a float filter before an exact division),
+    because an eigensphere the block reports as a FloatSphere is no frame
+    key.  classify_core decides everywhere else, and for perturbed input.
+    """
     if op.is_perturbed:
-        return cls
-    from .regions import spectrum_regions
+        return classify_core(op, p)
+    from .regions import build_frame, spectrum_regions
+    atom = build_frame(op).locate(p)
+    block = op.finite_block
+    if atom is None or (block is not None and (
+            isinstance(p, FloatSphere) or block_singular(block, p))):
+        cls = classify_core(op, p)
+    else:
+        c = atom.cls
+        cls = SpectralClassification(p, dict(c.sets), c.ker_dim, c.index,
+                                     c.ascent, c.descent)
     regs = spectrum_regions(op)
     for name in ("iso", "acc", "pi_0"):
         cls.sets[name] = Membership.of(regs[name].contains(p))

@@ -137,6 +137,15 @@ class QMatrix:
         """chi_charpoly(A), formed once per matrix."""
         return tuple(chi_charpoly(self))
 
+    @cached_property
+    def charpoly_floats(self) -> tuple[float, ...] | None:
+        """The coefficients of charpoly, each rounded to the nearest float;
+        None when one overflows a float."""
+        try:
+            return tuple(float(c) for c in self.charpoly)
+        except OverflowError:
+            return None
+
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])

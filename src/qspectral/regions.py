@@ -14,13 +14,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 from .opmodel import (ConstantFamily, GeometricFamily, Membership,
-                      StructuredOperator, classify_core,
-                      geometric_sphere_indices, is_invariant)
+                      SpectralClassification, StructuredOperator,
+                      classify_core, geometric_sphere_indices, is_invariant)
 from .quat import HalfPlanePoint, sphere_of
 from .spec_fd import right_eigenspheres
 
@@ -203,11 +204,15 @@ def region_empty() -> RegionSet:
 class Atom:
     """One frame atom: the region primitive it stands for, the point it is
     classified at, the index of the radial atom around it (None for cells
-    and circles) and its membership flags, set name -> bool."""
+    and circles), its membership flags, set name -> bool, iso/acc/pi_0
+    included, and for a cell or circle, which Frame.locate returns,
+    classify_core's whole verdict at that point (a frame can hold many
+    point atoms, which keep only their flags)."""
 
     prim: Union[BandPrim, CirclePrim, PointPrim, SequencePrim]
     rep: HalfPlanePoint
     host: Optional[int] = None
+    cls: Optional[SpectralClassification] = None
     flags: dict[str, bool] = field(default_factory=dict)
 
 
@@ -216,6 +221,50 @@ class Frame:
     radii_sq: list[Fraction]
     atoms: list[Atom]       # atoms[:2K+1] are cell 0, circle 0, ..., cell K
     regions: dict[str, RegionSet] = field(default_factory=dict)
+
+    @cached_property
+    def _point_keys(self) -> set:
+        return {(a.prim.u, a.prim.s_sq) for a in self.atoms
+                if isinstance(a.prim, PointPrim)}
+
+    @cached_property
+    def _tails(self) -> list[Atom]:
+        return [a for a in self.atoms if isinstance(a.prim, SequencePrim)]
+
+    def locate(self, p: HalfPlanePoint) -> Optional[Atom]:
+        """The radial atom (cell or circle) holding p, or None when p is an
+        exceptional sphere or lies on a tail.
+
+        Off those, the families and shifts act at p as at the radial atom's
+        representative.  The finite block need not: a rational sphere
+        reported as a spec_fd.FloatSphere is no point key.
+        """
+        if (p.u, p.s_sq) in self._point_keys:
+            return None
+        if any(a.prim.contains(p) for a in self._tails):
+            return None
+        return self.atoms[_radial_index(self.radii_sq, p.radius_sq)]
+
+    @cached_property
+    def boundaries(self) -> tuple[list, list, list]:
+        """The float data boundary_distance reads, in atom order: the shift
+        circle radii, the exceptional spheres (u, s), and per tail (u0, s0,
+        u1, a, b) of GeometricFamily.sphere_coeffs, |offset|, the ratio,
+        1 - ratio, ratio**start and the limit sphere (u, s)."""
+        circles, points, tails = [], [], []
+        for a in self.atoms:
+            if isinstance(a.prim, CirclePrim):
+                circles.append(math.sqrt(float(a.prim.r_sq)))
+            elif isinstance(a.prim, PointPrim):
+                points.append((float(a.rep.u), a.rep.s))
+            elif isinstance(a.prim, SequencePrim):
+                fam = a.prim.family
+                lim = fam.limit_sphere()
+                r = float(fam.ratio)
+                tails.append((*map(float, fam.sphere_coeffs), abs(fam.offset),
+                              r, float(1 - fam.ratio), r ** a.prim.start,
+                              float(lim.u), lim.s))
+        return circles, points, tails
 
 
 def _cell_bounds(radii: list[Fraction], i: int):
@@ -378,8 +427,10 @@ def new_frame(base: StructuredOperator) -> Frame:
                           _radial_index(radii, rep.radius_sq)))
 
     for a in atoms:
-        a.flags = {name: v is Membership.IN
-                   for name, v in classify_core(base, a.rep).sets.items()}
+        cls = classify_core(base, a.rep)
+        a.flags = {name: v is Membership.IN for name, v in cls.sets.items()}
+        if a.host is None:
+            a.cls = cls
 
     # topological flags from the frame structure
     limit_tails: dict[PointPrim, list[Atom]] = {}
@@ -476,7 +527,7 @@ def spectrum_regions(op: StructuredOperator) -> dict[str, RegionSet]:
 def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
     """Distance from p to the nearest primitive that can carry a
     classification boundary (shift circles, exceptional spheres, tail
-    spheres and their limits).
+    spheres and their limits), in floats from the frame's ``boundaries``.
 
     Tail sphere m is (u0 + u1*t, sqrt(s0 + a*t + b*t^2)) with t = ratio^m,
     walked in floats from the tail start.  No later sphere comes closer than
@@ -485,24 +536,20 @@ def boundary_distance(op: StructuredOperator, p: HalfPlanePoint) -> float:
     TAIL_SPACING*|offset| apart (within 1/(e*TAIL_SPACING) spheres for any
     ratio), and returns the smaller of the two: never above the true distance.
     """
-    frame = build_frame(op)
+    circles, points, tails = build_frame(op).boundaries
     rho = math.sqrt(float(p.radius_sq))
     pu, ps = float(p.u), p.s
     best = math.inf
-    for a in frame.atoms:
-        if isinstance(a.prim, CirclePrim):
-            best = min(best, abs(rho - math.sqrt(float(a.prim.r_sq))))
-        elif isinstance(a.prim, PointPrim):
-            best = min(best, p.dist(a.rep))
-        elif isinstance(a.prim, SequencePrim):
-            fam = a.prim.family
-            u0, s0, u1, ca, cb = map(float, fam.sphere_coeffs)
-            o, r, gap = abs(fam.offset), float(fam.ratio), float(1 - fam.ratio)
-            t, d_lim = r ** a.prim.start, p.dist(fam.limit_sphere())
-            best = min(best, d_lim)
-            while o * t > d_lim - best and t * gap >= TAIL_SPACING:
-                s_m = math.sqrt(max(0.0, s0 + ca * t + cb * t * t))
-                best = min(best, math.hypot(pu - (u0 + u1 * t), ps - s_m))
-                t *= r
-            best = min(best, max(0.0, d_lim - o * t))
+    for radius in circles:
+        best = min(best, abs(rho - radius))
+    for u, s in points:
+        best = min(best, math.hypot(pu - u, ps - s))
+    for u0, s0, u1, ca, cb, o, r, gap, t, lim_u, lim_s in tails:
+        d_lim = math.hypot(pu - lim_u, ps - lim_s)
+        best = min(best, d_lim)
+        while o * t > d_lim - best and t * gap >= TAIL_SPACING:
+            s_m = math.sqrt(max(0.0, s0 + ca * t + cb * t * t))
+            best = min(best, math.hypot(pu - (u0 + u1 * t), ps - s_m))
+            t *= r
+        best = min(best, max(0.0, d_lim - o * t))
     return best

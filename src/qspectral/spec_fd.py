@@ -4,17 +4,23 @@ Everything about a block is decided from the exact characteristic
 polynomial p = det(tI - chi(A)) of its complex adjoint embedding
 (``QMatrix.charpoly``).  p has real coefficients, and R_q(A) = A^2 - 2uA
 + rho^2 I is singular exactly when the sphere's factor t^2 - 2ut + rho^2
-divides p (F. Zhang, LAA 251, 1997).  So at a rational point one exact
-division decides whether the block is invertible, and only on a sphere
-does the exact kernel run.  The eigenspheres are the roots of the
-squarefree parts of p (Yun's algorithm); the float eigenvalues of chi(A)
-are checked against p's coefficients (a discrepancy is a hard failure)
-and place each sphere whose root is not rational: such a FloatSphere is
-the one input that the float route reads.
+divides p (F. Zhang, LAA 251, 1997).  So at a rational point one division
+decides whether the block is invertible, and only on a sphere does the
+exact kernel run.  The division first runs in floats beside a bound on its
+rounding error, a certified filter in the sense of Shewchuk (Discrete
+Comput. Geom. 18, 1997): a remainder the bound proves nonzero settles the
+point, and only where it cannot does the exact division over Q run.  The
+eigenspheres are the roots of the squarefree parts of p (Yun's
+algorithm); the float eigenvalues of chi(A) are checked against p's
+coefficients (a discrepancy is a hard failure) and place each sphere
+whose root is not rational: such a FloatSphere is the one input that the
+float route reads.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -248,19 +254,78 @@ def block_analysis(a: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
     """(dim_H ker R, ascent of R) for R = R_q(A) at the sphere p.
 
     At a rational point R is invertible, (0, 0), unless the sphere's
-    factor divides p; real roots of p have even multiplicity, so this
-    holds at s = 0 too.  On a rational sphere the exact kernel and the
-    exact power-rank chain decide.  At a FloatSphere both are read from
-    the singular values of the float pseudo-resolvent at MEMBERSHIP_TOL.
+    factor divides p (block_singular); real roots of p have even
+    multiplicity, so this holds at s = 0 too.  On a rational sphere the
+    exact kernel and the exact power-rank chain decide.  At a FloatSphere
+    both are read from the singular values of the float pseudo-resolvent
+    at MEMBERSHIP_TOL.
     """
     if isinstance(p, FloatSphere):
         rc = pseudo_resolvent_chi(a, p)
         k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
         return (k, _stabilization_numeric(rc)) if k else (0, 0)
-    if _poly_rem(a.charpoly, (1, -2 * p.u, p.radius_sq)):
+    if not block_singular(a, p):
         return 0, 0
     r = pseudo_resolvent_at(a, p)
     return len(kernel_basis(r)), asc_dsc(r).ascent
+
+
+def block_singular(a: QMatrix, p: HalfPlanePoint) -> bool:
+    """Whether R_q(A) is singular at the rational sphere p, exactly: whether
+    t^2 - 2ut + rho^2 divides p.  The float filter settles most points off
+    the spectrum; the exact division over Q decides the rest."""
+    two_u, rho_sq = 2 * p.u, p.radius_sq
+    if _certainly_indivisible(a.charpoly_floats, two_u, rho_sq):
+        return False
+    return not _poly_rem(a.charpoly, (1, -two_u, rho_sq))
+
+
+# An underflow errs by up to 2^-1075 absolutely, which no relative bound
+# covers; this floor, added to every coefficient of the absolute-value
+# recurrence, exceeds 2^53 times the underflow errors of one step
+_UNDERFLOW_FLOOR = 2.0 ** -1000
+
+
+def _certainly_indivisible(f: Sequence[float] | None, two_u: Fraction,
+                           rho_sq: Fraction) -> bool:
+    """True when the remainder of f by t^2 - 2ut + rho^2 is provably
+    nonzero; False means undecided, not divisible.
+
+    ``f`` holds the correctly rounded coefficients of p (None if one
+    overflows).  The division runs in floats beside the same recurrence on
+    absolute values (plus _UNDERFLOW_FLOOR).  Each remainder coefficient
+    comes out of fewer than K = 4 * len(f) + 4 roundings, the float
+    conversions of f, 2u and rho^2 included, so it errs by at most gamma_K
+    times its absolute-value twin, with gamma_K = K u / (1 - K u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  The
+    twin itself is computed in floats, and the factor 2 covers its own
+    rounding.  A value that is not finite, or a 2u or rho^2 that
+    underflows, leaves the point undecided.
+    """
+    if f is None:
+        return False
+    try:
+        a, b = float(two_u), float(rho_sq)
+    except OverflowError:
+        return False
+    if (two_u and abs(a) < sys.float_info.min) or (
+            rho_sq and b < sys.float_info.min):
+        return False
+    r = list(f)
+    t = [abs(c) + _UNDERFLOW_FLOOR for c in f]
+    abs_a = abs(a)
+    for k in range(len(r) - 2):
+        c, ct = r[k], t[k]
+        r[k + 1] += a * c
+        r[k + 2] -= b * c
+        t[k + 1] += abs_a * ct
+        t[k + 2] += b * ct
+    rem, bound = r[-2:], t[-2:]
+    if not all(map(math.isfinite, rem + bound)):
+        return False
+    k_ops = 4 * len(f) + 4
+    gamma = k_ops * 2.0 ** -53 / (1 - k_ops * 2.0 ** -53)
+    return any(abs(x) > 2 * gamma * y for x, y in zip(rem, bound))
 
 
 def _stabilization_numeric(c: np.ndarray) -> int:

@@ -4,6 +4,7 @@ kernel and power-rank ascent at every rational point and the float route at
 a FloatSphere; a wrong divisor must fail the comparison, and a point off
 the spectrum must run no exact kernel."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qspectral.spec_fd as spec_fd
+from qspectral.checks import random_matrix
 from qspectral.opmodel import ComponentAnalysis, _analyze_block
 from qspectral.qmat import (MEMBERSHIP_TOL, QMatrix, kernel_basis,
                             kernel_dim_numeric)
@@ -154,3 +156,68 @@ def test_non_finite_embedding_answers_exactly():
         assert on_eigensphere(block, HalfPlanePoint(big, 0)) == 1
         assert _analyze_block(block, HalfPlanePoint(big, 0)) == \
             ComponentAnalysis(1, 1, True, False, 1, 1)
+
+
+# -- the float filter in front of the exact division -----------------------
+
+NUDGE = Fraction(1, 10 ** 9)
+
+
+def _certified(block: QMatrix, p: HalfPlanePoint) -> bool:
+    return spec_fd._certainly_indivisible(block.charpoly_floats, 2 * p.u,
+                                          p.radius_sq)
+
+
+def _divides(block: QMatrix, p: HalfPlanePoint) -> bool:
+    return not _poly_rem(block.charpoly, (1, -2 * p.u, p.radius_sq))
+
+
+def _filter_blocks() -> list[QMatrix]:
+    rng = random.Random(11)
+    return [random_matrix(rng, 1 + k % 4) for k in range(400)]
+
+
+# rational spheres whose block has so large a denominator that
+# right_eigenspheres reports them as FloatSpheres
+_LARGE_DENOMINATOR = [
+    (QMatrix([[Quaternion(0, 1), Quaternion(0)],
+              [Quaternion(0), Quaternion(0, 1 + 2 * NUDGE)]]),
+     [HalfPlanePoint(0, 1), HalfPlanePoint(0, 1 + 2 * NUDGE)]),
+    (QMatrix([[Quaternion(Fraction(1, 3), Fraction(2, 7)), Quaternion(0)],
+              [Quaternion(0),
+               Quaternion(Fraction(1, 3), Fraction(2, 7) + NUDGE)]]),
+     [HalfPlanePoint(Fraction(1, 3), Fraction(2, 7)),
+      HalfPlanePoint(Fraction(1, 3), Fraction(2, 7) + NUDGE)]),
+]
+
+
+def test_filter_never_certifies_a_divisor():
+    spheres = []
+    for block in _filter_blocks():
+        spheres += [(block, p) for p in right_eigenspheres(block).points()
+                    if not isinstance(p, FloatSphere)]
+    assert len(spheres) >= 100
+    for block, points in _LARGE_DENOMINATOR:
+        spheres += [(block, p) for p in points]
+    # p = (t - 10^200)^2 overflows a float: the filter must stay out
+    big = Fraction(10) ** 200
+    huge = QMatrix([[Quaternion(big)]])
+    assert huge.charpoly_floats is None
+    spheres.append((huge, HalfPlanePoint(big, 0)))
+    for block, p in spheres:
+        assert _divides(block, p), (block, p)
+        assert not _certified(block, p), (block, p)
+
+
+def test_filter_certifies_almost_every_point_off_the_spectrum():
+    rng = random.Random(12)
+    off = certified = 0
+    for block in _filter_blocks():
+        for _ in range(20):
+            p = HalfPlanePoint(Fraction(rng.randint(-24, 24), rng.randint(1, 8)),
+                               Fraction(rng.randint(0, 24), rng.randint(1, 8)))
+            if not _divides(block, p):
+                off += 1
+                certified += _certified(block, p)
+    assert off >= 7000
+    assert certified >= 0.99 * off

@@ -221,11 +221,22 @@ def test_spectrum_delegated_set_needs_oracle(perturbed_file):
 
 
 def test_spectrum_delegated_set_with_oracle(perturbed_file):
-    code, out = run(["spectrum", perturbed_file, "--set", "bs",
+    code, out = run(["spectrum", perturbed_file, "--set", "sigma_s",
                      "--oracle", "--grid", "7"])
     assert code == EXIT_OK
-    assert "verdict" in out
+    assert out.splitlines()[:2] == ["# set: sigma_s",
+                                    "u,s,verdict,near_boundary"]
     assert "VANISHING" in out or "BOUNDED-AWAY" in out
+
+
+@pytest.mark.parametrize("name", ["bs", "sigma_ps", "pi_0"])
+def test_oracle_estimates_only_sigma_s(perturbed_file, capsys, name):
+    # the oracle's verdict is sigma_S membership; under any other set's
+    # name it would be a mislabelled raster
+    code, out = run(["spectrum", perturbed_file, "--set", name, "--oracle"])
+    assert code == EXIT_UNSUPPORTED and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(name) in err[0]
 
 
 # -- classify ----------------------------------------------------------
