@@ -3,12 +3,13 @@
 Exit codes: 0 ok, 1 invariant violation or oracle disagreement, 2 parse
 error (including a spec the operator classes reject, e.g. a zero geometric
 offset, an unknown --set name, a non-positive --grid N or --corpus count,
-and an --out file that cannot be opened), 3 unsupported request (a
-delegated set without --oracle, a delegated set other than sigma_s with
-it, since the oracle estimates sigma_S alone, or any other domain or
-delegation error raised while computing, e.g. a tail localization that
-does not terminate), 4 numerical failure.  Errors 2-4 print one line on
-stderr.
+an --out file that cannot be opened, and on a matrix document spectrum's
+--set, --grid or --oracle, classify's --oracle, or check itself), 3
+unsupported request (a delegated set without --oracle, a delegated set
+other than sigma_s with it, since the oracle estimates sigma_S alone, or
+any other domain or delegation error raised while computing, e.g. a tail
+localization that does not terminate), 4 numerical failure.  Errors 2-4
+print one line on stderr.
 The corpus seed comes from --corpus alone.  A negative u may follow
 --point as its own argument (--point -1,0).
 """
@@ -78,6 +79,15 @@ def _open_out(path: str):
         raise SpecFileError(f"cannot write {path}: {exc}") from exc
 
 
+def _structured_only(args, options: Sequence[str]) -> None:
+    """A matrix document serves none of these options: the first one given
+    is a parse error."""
+    for option in options:
+        if getattr(args, option[2:]):
+            raise SpecFileError(
+                f"{option} takes a structured operator document")
+
+
 def _grid_points(n_u: int):
     lo_u, hi_u = GRID_RANGE_U
     lo_s, hi_s = GRID_RANGE_S
@@ -142,6 +152,7 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
         raise SpecFileError("--grid expects a positive N")
     doc = load_document(args.file)
     if doc.matrix is not None:
+        _structured_only(args, ("--set", "--grid", "--oracle"))
         with (nullcontext(stdout) if args.out is None
               else _open_out(args.out)) as out:
             _emit_matrix_spectrum(doc, out)
@@ -211,6 +222,7 @@ def cmd_classify(args, stdout, classify_fn: ClassifyFn) -> int:
     doc = load_document(args.file)
     p = _parse_point(args.point)
     if doc.matrix is not None:
+        _structured_only(args, ("--oracle",))
         dim = on_eigensphere(doc.matrix, p)
         stdout.write(f"point: ({float(p.u)}, {p.s})\n")
         stdout.write(f"verdict: sigma_pS; dim ker R_q = {dim}\n" if dim
@@ -274,7 +286,9 @@ def cmd_check(args, stdout, classify_fn: ClassifyFn) -> int:
 
     if args.file:
         doc = load_document(args.file)
-        ops = [doc.structured] if doc.structured is not None else []
+        if doc.structured is None:
+            raise SpecFileError("check takes a structured operator document")
+        ops = [doc.structured]
     else:
         ops = corpus(seed, count)
 

@@ -312,6 +312,8 @@ def _analyze_shift(tail: ShiftTail, p: HalfPlanePoint) -> ComponentAnalysis:
 
 def _analyze_components(op: StructuredOperator,
                         p: HalfPlanePoint) -> ComponentAnalysis:
+    """The direct-sum analysis of op's unperturbed part at p: it reads the
+    block, the families and the tails, never the perturbation."""
     parts = []
     if op.finite_block is not None:
         parts.append(_analyze_block(op.finite_block, p))
@@ -380,7 +382,7 @@ class SpectralClassification:
 def classify_core(op: StructuredOperator,
                   p: HalfPlanePoint) -> SpectralClassification:
     """Everything except the topological sets iso/acc/pi_0 (DELEGATED)."""
-    a = _analyze_components(op.unperturbed(), p)
+    a = _analyze_components(op, p)
 
     semi_left = a.range_closed and a.ker != INF
     semi_right = a.range_closed and a.coker != INF

@@ -204,10 +204,11 @@ def region_empty() -> RegionSet:
 class Atom:
     """One frame atom: the region primitive it stands for, the point it is
     classified at, the index of the radial atom around it (None for cells
-    and circles), its membership flags, set name -> bool, iso/acc/pi_0
-    included, and for a cell or circle, which Frame.locate returns,
-    classify_core's whole verdict at that point (a frame can hold many
-    point atoms, which keep only their flags)."""
+    and circles; _build_region writes a point or tail atom as an include
+    or exclude of that atom's set), its membership flags, set name -> bool,
+    iso/acc/pi_0 included (new_frame's rule), and for a cell or circle,
+    which Frame.locate returns, classify_core's whole verdict at that point
+    (a frame can hold many point atoms, which keep only their flags)."""
 
     prim: Union[BandPrim, CirclePrim, PointPrim, SequencePrim]
     rep: HalfPlanePoint
@@ -369,7 +370,16 @@ def build_frame(op: StructuredOperator) -> Frame:
 
 def new_frame(base: StructuredOperator) -> Frame:
     """Build the frame of an unperturbed operator; StructuredOperator.frame
-    keeps it."""
+    keeps it.
+
+    classify_core decides every flag at each atom's representative except
+    iso/acc/pi_0, which come from one rule per atom: sigma_S's
+    two-dimensional part is the closed disc of the largest shift weight,
+    and off that disc sigma_S accumulates only at the limit spheres of the
+    geometric families.  So acc = sigma_S and (rho^2 <= the largest shift
+    weight^2, or the representative is a family's limit sphere); iso =
+    sigma_S and not acc; pi_0 = iso and sigma_0.
+    """
     radii = sorted({t.weight * t.weight for t in base.shift_tails})
     geoms = [f for f in base.diagonal_families if isinstance(f, GeometricFamily)]
     starts = [_tail_start_radial(f, radii, [g for g in geoms if g is not f])
@@ -426,33 +436,19 @@ def new_frame(base: StructuredOperator) -> Frame:
         atoms.append(Atom(SequencePrim(f, m0), rep,
                           _radial_index(radii, rep.radius_sq)))
 
+    # the rule's data: the largest shift radius^2 and the limit spheres
+    disc = radii[-1] if radii else None
+    limits = {(lim.u, lim.s_sq) for lim in (f.limit_sphere() for f in geoms)}
     for a in atoms:
         cls = classify_core(base, a.rep)
-        a.flags = {name: v is Membership.IN for name, v in cls.sets.items()}
+        d = a.flags = {name: v is Membership.IN for name, v in cls.sets.items()}
         if a.host is None:
             a.cls = cls
-
-    # topological flags from the frame structure
-    limit_tails: dict[PointPrim, list[Atom]] = {}
-    for a in atoms:
-        if isinstance(a.prim, SequencePrim):
-            key = PointPrim.of(a.prim.family.limit_sphere())
-            limit_tails.setdefault(key, []).append(a)
-    for a in atoms:
-        d = a.flags
-        if not d["sigma_s"]:
-            iso = acc = False
-        elif a.host is None:
-            iso, acc = False, True
-        else:
-            # a point atom also accumulates the tails converging to it; no
-            # tail's own prim is a key
-            acc = atoms[a.host].flags["sigma_s"] or any(
-                t.flags["sigma_s"] for t in limit_tails.get(a.prim, ()))
-            iso = not acc
-        d["iso"] = iso
-        d["acc"] = acc
-        d["pi_0"] = iso and d["sigma_0"]
+        d["acc"] = d["sigma_s"] and (
+            (disc is not None and a.rep.radius_sq <= disc)
+            or (a.rep.u, a.rep.s_sq) in limits)
+        d["iso"] = d["sigma_s"] and not d["acc"]
+        d["pi_0"] = d["iso"] and d["sigma_0"]
 
     frame = Frame(radii, atoms)
     # SET_NAMES, then each index stratum that some atom carries

@@ -358,6 +358,25 @@ def test_exit_parse_zero_geometric_offset(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "{m}", "--grid", "3", "--set", "ws", "--oracle"], "--set"),
+    (["spectrum", "{m}", "--grid", "3"], "--grid"),
+    (["spectrum", "{m}", "--oracle", "--out", "{out}"], "--oracle"),
+    (["classify", "{m}", "--point", "1,0", "--oracle"], "--oracle"),
+    (["check", "{m}"], "check"),
+])
+def test_exit_parse_structured_option_on_a_matrix(matrix_file, tmp_path,
+                                                   capsys, argv, named):
+    # a matrix document serves none of these; they used to be dropped
+    # in silence, with exit 0
+    out_file = tmp_path / "x.csv"
+    code, out = run([a.format(m=matrix_file, out=out_file) for a in argv])
+    assert code == EXIT_PARSE and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {named} takes a structured operator document"]
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"matrix": [[[1, 0, 0, 0]]], "basis": [[[5, 0, 0, 0]]]},
     {"structured": {"shift_tails": [{"weight": 1}]}, "basis": None},

@@ -1,13 +1,14 @@
 """classify answers an unperturbed operator from the frame atom that holds
 the point (regions.Frame.locate); classify_core, which decides every point
-from the components, is the reference it must equal."""
+from the components, is the reference it must equal.  iso/acc/pi_0, which
+classify reads from the regions, must equal the closed-form rule."""
 
 import random
 from fractions import Fraction
 
 from qspectral.checks import corpus, exemplars, sample_points
-from qspectral.opmodel import (Membership, ShiftTail, StructuredOperator,
-                               classify, classify_core)
+from qspectral.opmodel import (GeometricFamily, Membership, ShiftTail,
+                               StructuredOperator, classify, classify_core)
 from qspectral.qmat import QMatrix
 from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.regions import (PointPrim, SequencePrim, build_frame,
@@ -71,16 +72,58 @@ def _points(op, rng):
     return pts
 
 
-def test_frame_route_equals_the_reference():
+def _cases():
+    """(op, p) over the corpus and the two guard operators, 2729 in all."""
     rng = random.Random(5)
-    checked = 0
     for op in corpus(0, 30) + [GUARD, MERGED]:
         for p in _points(op, rng):
-            cls = classify(op, p)
-            assert cls.point is p
-            assert _fields(cls) == _fields(classify_core(op, p)), (op, p)
-            checked += 1
-    assert checked > 2000
+            yield op, p
+
+
+def _rule(op, p, core):
+    """iso/acc/pi_0 at p from classify_core's sigma_S and sigma_0: sigma_S
+    accumulates exactly on the closed disc of the largest shift weight and
+    at the limit spheres of the geometric families."""
+    in_s = core.sets["sigma_s"] is Membership.IN
+    in_disc = any(p.radius_sq <= t.weight ** 2 for t in op.shift_tails)
+    at_limit = any((p.u, p.s_sq) == (lim.u, lim.s_sq)
+                   for lim in (f.limit_sphere() for f in op.diagonal_families
+                               if isinstance(f, GeometricFamily)))
+    acc = in_s and (in_disc or at_limit)
+    iso = in_s and not acc
+    return {"iso": Membership.of(iso), "acc": Membership.of(acc),
+            "pi_0": Membership.of(iso and core.sets["sigma_0"] is Membership.IN)}
+
+
+def test_frame_route_equals_the_reference():
+    checked = 0
+    for op, p in _cases():
+        cls = classify(op, p)
+        assert cls.point is p
+        assert _fields(cls) == _fields(classify_core(op, p)), (op, p)
+        checked += 1
+    assert checked == 2729
+
+
+def test_topology_equals_the_rule():
+    accumulating = isolated = skipped = 0
+    for op, p in _cases():
+        if isinstance(p, FloatSphere) and build_frame(op).locate(p) is not None:
+            # a FloatSphere that is no exceptional sphere of the frame:
+            # classify_core reads the block at p in floats, but the regions
+            # put p in a cell, so off the shift disc classify reads sigma_S
+            # with neither iso nor acc (ROADMAP item 5)
+            skipped += 1
+            continue
+        cls = classify(op, p)
+        want = _rule(op, p, classify_core(op, p))
+        assert {n: cls.sets[n] for n in TOPOLOGICAL} == want, (op, p)
+        accumulating += want["acc"] is Membership.IN
+        isolated += want["iso"] is Membership.IN
+    # both branches of the rule are exercised
+    assert accumulating and isolated
+    # the nudged FloatSphere beside each exceptional sphere, of 2729 points
+    assert skipped == 65
 
 
 def test_block_guard_reads_a_rational_sphere_the_frame_misses():
