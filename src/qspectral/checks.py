@@ -245,8 +245,20 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
 
 def _atoms(op: StructuredOperator, name: str) -> frozenset:
     frame = build_frame(op)
-    return frozenset(i for i, a in enumerate(frame.atoms)
-                     if a.flags.get(name, False))
+    return frozenset(i for i, a in enumerate(frame.atoms) if a.has(name))
+
+
+def _accumulating(op: StructuredOperator) -> frozenset:
+    """The atoms in sigma_S at which it accumulates, read from the frame's
+    geometry: a cell or circle, an atom whose host cell or circle is in
+    sigma_S, or a geometric family's limit sphere."""
+    atoms = build_frame(op).atoms
+    limits = {(lim.u, lim.s_sq) for lim in (
+        f.limit_sphere() for f in op.diagonal_families
+        if isinstance(f, GeometricFamily))}
+    return frozenset(i for i, a in enumerate(atoms) if a.has("sigma_s") and (
+        a.host is None or atoms[a.host].has("sigma_s")
+        or (a.rep.u, a.rep.s_sq) in limits))
 
 
 def suite_regions(ops: Sequence[StructuredOperator]) -> list[SuiteResult]:
@@ -268,8 +280,10 @@ def suite_regions(ops: Sequence[StructuredOperator]) -> list[SuiteResult]:
               and a_ws == (a_e | a_knz))
         wident.record(ok, lambda op=op: _ce(op, None, "Weyl set identity violated"))
         a_acc, a_pi0 = _atoms(base, "acc"), _atoms(base, "pi_0")
-        bident.record(a_s - a_pi0 == (a_acc | a_ws),
-                   lambda op=op: _ce(op, None, "Browder set identity violated"))
+        bident.record(a_s - a_pi0 == (a_acc | a_ws)
+                      and a_acc == _accumulating(base),
+                   lambda op=op: _ce(op, None, "Browder set identity or"
+                                     " accumulation set violated"))
         regs = spectrum_regions(base)
         regs_adj = spectrum_regions(base.adjoint_operator())
         wadj.record(regs["ws"].same_set(regs_adj["ws"]),

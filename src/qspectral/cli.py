@@ -8,10 +8,12 @@ an --out file that cannot be opened, and on a matrix document spectrum's
 unsupported request (a delegated set without --oracle, a delegated set
 other than sigma_s with it, since the oracle estimates sigma_S alone, or
 any other domain or delegation error raised while computing, e.g. a tail
-localization that does not terminate), 4 numerical failure.  Errors 2-4
-print one line on stderr.
+localization that does not terminate), 4 numerical failure (including
+a value beyond float range where a float view of it is taken).  Errors
+2-4 print one line on stderr.
 The corpus seed comes from --corpus alone.  A negative u may follow
---point as its own argument (--point -1,0).
+--point, and a negative seed --corpus, as its own argument (--point -1,0,
+--corpus -1,20).
 """
 
 from __future__ import annotations
@@ -340,13 +342,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _glue_point(argv: Sequence[str]) -> list[str]:
-    """Join ``--point VALUE`` into ``--point=VALUE`` so that a negative u
-    (``--point -1,0``) is not read as an option by argparse."""
+def _glue_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--point VALUE`` and ``--corpus VALUE`` into ``--point=VALUE``
+    and ``--corpus=VALUE``, so that a negative u (``--point -1,0``) or seed
+    (``--corpus -1,20``) is not read as an option by argparse."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--point" and not arg.startswith("--"):
-            out[-1] = f"--point={arg}"
+        if (out and out[-1] in ("--point", "--corpus")
+                and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -356,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None,
          classify_fn: ClassifyFn = classify) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     parser = _build_parser()
-    argv = _glue_point(sys.argv[1:] if argv is None else argv)
+    argv = _glue_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -370,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None,
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except QSpectralError as exc:

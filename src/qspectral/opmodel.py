@@ -271,6 +271,7 @@ class ComponentAnalysis:
     invertible: bool
     asc: float
     dsc: float
+    accumulates: bool = False   # this summand's sigma_S, at p
 
 
 def _analyze_block(block: QMatrix, p: HalfPlanePoint) -> ComponentAnalysis:
@@ -291,7 +292,7 @@ def _analyze_geometric(fam: GeometricFamily, p: HalfPlanePoint) -> ComponentAnal
     if at_limit:
         # entries of R_q tend to 0 without all vanishing: range not closed
         asc = 1 if zeros else 0
-        return ComponentAnalysis(zeros, zeros, False, False, asc, INF)
+        return ComponentAnalysis(zeros, zeros, False, False, asc, INF, True)
     step = 1 if zeros else 0
     return ComponentAnalysis(zeros, zeros, True, zeros == 0, step, step)
 
@@ -301,13 +302,14 @@ def _analyze_shift(tail: ShiftTail, p: HalfPlanePoint) -> ComponentAnalysis:
     w_sq = tail.weight * tail.weight
     if rho_sq > w_sq:
         return ComponentAnalysis(0, 0, True, True, 0, 0)
+    # sigma_S is the closed disc rho^2 <= w^2: it accumulates at p
     if rho_sq == w_sq:
         # characteristic roots on the unit circle: trivial kernels on both
         # sides, dense non-closed range
-        return ComponentAnalysis(0, 0, False, False, 0, INF)
+        return ComponentAnalysis(0, 0, False, False, 0, INF, True)
     if tail.direction == FORWARD:
-        return ComponentAnalysis(0, 2, True, False, 0, INF)
-    return ComponentAnalysis(2, 0, True, False, INF, 0)
+        return ComponentAnalysis(0, 2, True, False, 0, INF, True)
+    return ComponentAnalysis(2, 0, True, False, INF, 0, True)
 
 
 def _analyze_components(op: StructuredOperator,
@@ -333,6 +335,7 @@ def _analyze_components(op: StructuredOperator,
         invertible=all(c.invertible for c in parts),
         asc=max(c.asc for c in parts),
         dsc=max(c.dsc for c in parts),
+        accumulates=any(c.accumulates for c in parts),
     )
 
 
@@ -354,7 +357,7 @@ def is_invariant(name: str) -> bool:
     return name in INVARIANT_SETS or name.startswith("sigma_k:")
 
 
-@dataclass
+@dataclass(slots=True)
 class SpectralClassification:
     """A point's membership in each set of SET_NAMES, in order, plus
     sigma_k:<index> (IN) when the index is nonzero.  None stands for a
@@ -381,7 +384,10 @@ class SpectralClassification:
 
 def classify_core(op: StructuredOperator,
                   p: HalfPlanePoint) -> SpectralClassification:
-    """Everything except the topological sets iso/acc/pi_0 (DELEGATED)."""
+    """The whole verdict at p, from the components at p.  sigma_S is the
+    union of the summands' sigma_S, so it accumulates at p iff some summand's
+    does (p in a shift's closed disc, or a family's limit sphere): acc =
+    sigma_S and that, iso = sigma_S and not acc, pi_0 = iso and sigma_0."""
     a = _analyze_components(op, p)
 
     semi_left = a.range_closed and a.ker != INF
@@ -390,6 +396,7 @@ def classify_core(op: StructuredOperator,
     index = int(a.ker - a.coker) if fred else None
     in_sigma = not a.invertible
     in_ws = not (fred and index == 0)
+    acc = in_sigma and a.accumulates
     flags = {
         "sigma_s": in_sigma,
         "sigma_ps": a.ker > 0,
@@ -404,13 +411,16 @@ def classify_core(op: StructuredOperator,
         # a semi-Fredholm R_q is Fredholm here, so these sets are empty
         "sigma_plus_inf": False,
         "sigma_minus_inf": False,
+        "iso": in_sigma and not acc,
+        "acc": acc,
+        "pi_0": in_sigma and not acc and not in_ws,
     }
     # a perturbation leaves exact only the sets is_invariant names; sigma_s
     # contains ws either way
     exact = not op.is_perturbed
     sets = {name: Membership.of(flags[name])
-            if name in flags and (exact or is_invariant(name))
-            else Membership.DELEGATED for name in SET_NAMES}
+            if exact or is_invariant(name) else Membership.DELEGATED
+            for name in SET_NAMES}
     if in_ws:
         sets["sigma_s"] = Membership.IN
     if index:
@@ -421,7 +431,7 @@ def classify_core(op: StructuredOperator,
 
 
 def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassification:
-    """Full per-sphere verdict, including iso/acc/pi_0 for unperturbed input.
+    """Full per-sphere verdict: classify_core's, served from the frame.
 
     An unperturbed operator answers from its frame: off the exceptional
     spheres and the tails, p has the verdict of the radial atom (cell or
@@ -429,7 +439,7 @@ def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassificatio
     block is invertible at p.  That is checked at p itself
     (spec_fd.block_singular, a float filter before an exact division),
     because an eigensphere the block reports as a FloatSphere is no frame
-    key.  classify_core decides everywhere else, and for perturbed input.
+    key.  Elsewhere, and for perturbed input, it is classify_core's verdict.
     """
     if op.is_perturbed:
         return classify_core(op, p)
@@ -438,11 +448,13 @@ def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassificatio
     block = op.finite_block
     if atom is None or (block is not None and (
             isinstance(p, FloatSphere) or block_singular(block, p))):
-        cls = classify_core(op, p)
-    else:
-        c = atom.cls
-        cls = SpectralClassification(p, dict(c.sets), c.ker_dim, c.index,
-                                     c.ascent, c.descent)
+        return classify_core(op, p)
+    c = atom.cls
+    cls = SpectralClassification(p, dict(c.sets), c.ker_dim, c.index,
+                                 c.ascent, c.descent)
+    # p is off every point and tail primitive, so these read the atom's own
+    # iso/acc/pi_0; they stay while perfbench's self-test pins
+    # RegionSet.contains and spectrum_regions (ROADMAP item 1)
     regs = spectrum_regions(op)
     for name in ("iso", "acc", "pi_0"):
         cls.sets[name] = Membership.of(regs[name].contains(p))

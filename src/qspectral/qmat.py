@@ -118,11 +118,6 @@ class QMatrix:
     # The caches live on the instance (the dataclass is frozen, so the
     # entries they derive from never change) and go with it.
     @cached_property
-    def square(self) -> "QMatrix":
-        """A @ A, exact, formed once per matrix."""
-        return self @ self
-
-    @cached_property
     def chi_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """(chi(A), chi(A) @ chi(A)) in floating point, formed once per
         matrix; both arrays are read-only."""
@@ -355,13 +350,9 @@ def rank(a: QMatrix) -> int:
     return len(pivots)
 
 
-def kernel_dim_numeric(a: QMatrix | np.ndarray,
-                       tol: float = MEMBERSHIP_TOL) -> int:
-    """dim_H ker(A) from the singular values of chi(A).
-
-    ``a`` is a QMatrix or an already embedded 2r x 2c complex array.
-    """
-    c = a if isinstance(a, np.ndarray) else chi(a)
+def kernel_dim_numeric(c: np.ndarray, tol: float = MEMBERSHIP_TOL) -> int:
+    """dim_H ker(A) from the singular values of c = chi(A), an embedded
+    2r x 2c complex array."""
     sv = np.linalg.svd(c, compute_uv=False)
     if sv.size == 0:
         return 0

@@ -205,16 +205,16 @@ class Atom:
     """One frame atom: the region primitive it stands for, the point it is
     classified at, the index of the radial atom around it (None for cells
     and circles; _build_region writes a point or tail atom as an include
-    or exclude of that atom's set), its membership flags, set name -> bool,
-    iso/acc/pi_0 included (new_frame's rule), and for a cell or circle,
-    which Frame.locate returns, classify_core's whole verdict at that point
-    (a frame can hold many point atoms, which keep only their flags)."""
+    or exclude of that atom's set), and classify_core's verdict at that
+    point, which decides the atom's membership in every set."""
 
     prim: Union[BandPrim, CirclePrim, PointPrim, SequencePrim]
     rep: HalfPlanePoint
-    host: Optional[int] = None
-    cls: Optional[SpectralClassification] = None
-    flags: dict[str, bool] = field(default_factory=dict)
+    host: Optional[int]
+    cls: SpectralClassification
+
+    def has(self, name: str) -> bool:
+        return self.cls.sets.get(name) is Membership.IN
 
 
 @dataclass
@@ -372,13 +372,9 @@ def new_frame(base: StructuredOperator) -> Frame:
     """Build the frame of an unperturbed operator; StructuredOperator.frame
     keeps it.
 
-    classify_core decides every flag at each atom's representative except
-    iso/acc/pi_0, which come from one rule per atom: sigma_S's
-    two-dimensional part is the closed disc of the largest shift weight,
-    and off that disc sigma_S accumulates only at the limit spheres of the
-    geometric families.  So acc = sigma_S and (rho^2 <= the largest shift
-    weight^2, or the representative is a family's limit sphere); iso =
-    sigma_S and not acc; pi_0 = iso and sigma_0.
+    Each atom is built holding classify_core's verdict at its
+    representative, iso/acc/pi_0 included, and the regions are read from
+    those verdicts.
     """
     radii = sorted({t.weight * t.weight for t in base.shift_tails})
     geoms = [f for f in base.diagonal_families if isinstance(f, GeometricFamily)]
@@ -420,39 +416,28 @@ def new_frame(base: StructuredOperator) -> Frame:
         return any(geometric_sphere_indices(f, p, m0)
                    for f, m0 in zip(geoms, starts))
 
+    def atom(prim, rep: HalfPlanePoint, host: Optional[int] = None) -> Atom:
+        return Atom(prim, rep, host, classify_core(base, rep))
+
     atoms: list[Atom] = []
     for i in range(len(radii) + 1):
         lo, hi = _cell_bounds(radii, i)
-        atoms.append(Atom(BandPrim(lo, False, hi, False),
+        atoms.append(atom(BandPrim(lo, False, hi, False),
                           _pick_cell_rep(lo, hi, collides)))
         if i < len(radii):
-            atoms.append(Atom(CirclePrim(radii[i]),
+            atoms.append(atom(CirclePrim(radii[i]),
                               _pick_circle_rep(radii[i], collides)))
     for p in points:
-        atoms.append(Atom(PointPrim.of(p), p,
+        atoms.append(atom(PointPrim.of(p), p,
                           _radial_index(radii, p.radius_sq)))
     for f, m0 in zip(geoms, starts):
         rep = f.sphere(m0)
-        atoms.append(Atom(SequencePrim(f, m0), rep,
+        atoms.append(atom(SequencePrim(f, m0), rep,
                           _radial_index(radii, rep.radius_sq)))
-
-    # the rule's data: the largest shift radius^2 and the limit spheres
-    disc = radii[-1] if radii else None
-    limits = {(lim.u, lim.s_sq) for lim in (f.limit_sphere() for f in geoms)}
-    for a in atoms:
-        cls = classify_core(base, a.rep)
-        d = a.flags = {name: v is Membership.IN for name, v in cls.sets.items()}
-        if a.host is None:
-            a.cls = cls
-        d["acc"] = d["sigma_s"] and (
-            (disc is not None and a.rep.radius_sq <= disc)
-            or (a.rep.u, a.rep.s_sq) in limits)
-        d["iso"] = d["sigma_s"] and not d["acc"]
-        d["pi_0"] = d["iso"] and d["sigma_0"]
 
     frame = Frame(radii, atoms)
     # SET_NAMES, then each index stratum that some atom carries
-    for name in dict.fromkeys(n for a in atoms for n in a.flags):
+    for name in dict.fromkeys(n for a in atoms for n in a.cls.sets):
         frame.regions[name] = _build_region(frame, name)
     return frame
 
@@ -475,7 +460,7 @@ def _radial_prims(frame: Frame, name: str) -> list:
     """Bands and circles covering the maximal runs of radial atoms in the
     set; a lone atom is its own prim."""
     radial = frame.atoms[:2 * len(frame.radii_sq) + 1]
-    in_set = [a.flags.get(name, False) for a in radial]
+    in_set = [a.has(name) for a in radial]
     prims = []
     i = 0
     while i < len(radial):
@@ -507,8 +492,8 @@ def _build_region(frame: Frame, name: str) -> RegionSet:
     excludes = []
     for a in frame.atoms:
         if a.host is not None:
-            inside = a.flags.get(name, False)
-            if inside != frame.atoms[a.host].flags.get(name, False):
+            inside = a.has(name)
+            if inside != frame.atoms[a.host].has(name):
                 (includes if inside else excludes).append(a.prim)
     return RegionSet(tuple(includes), tuple(excludes))
 

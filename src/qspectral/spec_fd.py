@@ -64,14 +64,14 @@ def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
 
 
 def pseudo_resolvent_at(a: QMatrix, p: HalfPlanePoint) -> QMatrix:
-    """R = A^2 - 2u A + rho^2 I, exact, from the cached square of A.
+    """R = A^2 - 2u A + rho^2 I, exact.
 
-    Entrywise (A^2)_ij - 2u A_ij + rho^2 delta_ij: every term is a
-    quaternion scaled by a real, so no quaternion product is formed.
+    Entrywise (A^2)_ij - 2u A_ij + rho^2 delta_ij: past A^2, every term is
+    a quaternion scaled by a real.
     """
     two_u, rho_sq = 2 * p.u, p.radius_sq
     rows = []
-    for i, (sq_row, a_row) in enumerate(zip(a.square.entries, a.entries)):
+    for i, (sq_row, a_row) in enumerate(zip((a @ a).entries, a.entries)):
         row = []
         for j, (s, e) in enumerate(zip(sq_row, a_row)):
             q0 = s.q0 - two_u * e.q0

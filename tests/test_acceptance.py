@@ -59,7 +59,7 @@ def test_criterion_02_sphere_invariance():
     for _ in range(100):
         a = random_matrix(rng, rng.randint(1, 6))
         for p, _mult in right_eigenspheres(a).spheres:
-            dims = {kernel_dim_numeric(pseudo_resolvent(a, q), 1e-8)
+            dims = {kernel_dim_numeric(chi(pseudo_resolvent(a, q)), 1e-8)
                     for q in _representatives(p, rng, 8)}
             spheres_checked += 1
             if len(dims) != 1 or dims == {0}:

@@ -8,6 +8,7 @@ import pytest
 
 import qspectral.checks as checks
 import qspectral.leftmul as leftmul
+import qspectral.opmodel as opmodel
 from qspectral.checks import (corpus, exemplars, run_all,
                               suite_adjoint_identities, suite_oracle,
                               suite_pointwise, suite_regions)
@@ -80,6 +81,31 @@ def test_region_suite_names():
     names = {r.name for r in suite_regions(exemplars()[:4])}
     assert names == {"weyl_set_identities", "browder_set_identity",
                      "weyl_adjoint_symmetry"}
+
+
+_GEOMETRIC, _SHIFT = opmodel._analyze_geometric, opmodel._analyze_shift
+
+
+def _limit_isolated(fam, p):
+    """A family's limit sphere read as isolated."""
+    return dataclasses.replace(_GEOMETRIC(fam, p), accumulates=False)
+
+
+def _open_disc(tail, p):
+    """A shift's sigma_S read as accumulating on the open disc alone."""
+    c = _SHIFT(tail, p)
+    return dataclasses.replace(
+        c, accumulates=c.accumulates and p.radius_sq < tail.weight ** 2)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_analyze_geometric", _limit_isolated), ("_analyze_shift", _open_disc)])
+def test_region_suite_detects_topology_mutants(monkeypatch, name, mutant):
+    assert all(r.failures == 0 for r in suite_regions(exemplars()))
+    monkeypatch.setattr(opmodel, name, mutant)
+    # fresh operators, so every frame is built under the mutant
+    res = {r.name: r for r in suite_regions(exemplars())}
+    assert res["browder_set_identity"].failures > 0
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 9), Fraction(1, 10 ** 15)])

@@ -299,6 +299,12 @@ def test_check_small_corpus():
     assert any(line.startswith("oracle_agreement,") for line in lines[1:])
 
 
+def test_check_negative_seed_as_separate_argument():
+    code, out = run(["check", "--corpus", "-1,20"])
+    assert code == EXIT_OK
+    assert (code, out) == run(["check", "--corpus=-1,20"])
+
+
 def test_check_single_operator_file(shift_file):
     code, out = run(["check", shift_file])
     assert code == EXIT_OK
@@ -453,6 +459,50 @@ def test_exit_numerical_failure(shift_file):
     code, _ = run(["classify", shift_file, "--point", "1/2,0"],
                   classify_fn=broken)
     assert code == EXIT_NUMERICAL
+
+
+README_DOC = {"structured": {
+    "finite_block": [[[2, 0, 0, 0]]],
+    "diagonal_families": [{"kind": "geometric", "limit": [0, 0, 0, 0],
+                           "offset": [1, 0, 0, 0], "ratio": "1/2"}],
+    "shift_tails": [{"weight": "3/2", "direction": "forward"}]}}
+HUGE_OFFSET = {"structured": {"diagonal_families": [
+    {"kind": "geometric", "limit": [0, 0, 0, 0],
+     "offset": ["1e200", 0, 0, 0], "ratio": "1/2"}]}}
+HUGE_WEIGHT = {"structured": {"shift_tails": [{"weight": "1e200"}]}}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (HUGE_OFFSET, ["spectrum"]),
+    (HUGE_OFFSET, ["classify", "--point", "1,0"]),
+    (HUGE_WEIGHT, ["spectrum"]),
+    (HUGE_WEIGHT, ["classify", "--point", "1,0"]),
+    (README_DOC, ["classify", "--point", "1e400,0"]),
+    ({"matrix": [[[1, 0, 0, 0]]]}, ["classify", "--point", "1e400,0"]),
+])
+def test_exit_numerical_on_values_beyond_float_range(tmp_path, capsys, doc,
+                                                     argv):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    code, out = run([argv[0], str(path), *argv[1:]])
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert _one_error_line(capsys, "numerical failure: ")
+
+
+def test_classify_topology_at_a_block_sphere_the_frame_misses(tmp_path):
+    # the second eigensphere's denominator is too large for the float root
+    # to pin, so the block reports FloatSpheres and the frame has no point
+    # atom at (1/3, 2/7): the verdict there is classify_core's, whole
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps({"structured": {"finite_block": [
+        [["1/3", "2/7", 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], ["1/3", "2000000007/7000000000", 0, 0]]]}}))
+    code, out = run(["classify", str(path), "--point", "1/3,2/7"])
+    assert code == EXIT_OK
+    assert "in sigma_S: yes\n" in out and "sigma_0: yes\n" in out
+    assert "in ws: no; in Bs: no\n" in out
+    assert "isolated: yes; accumulation: no; pi_0: yes\n" in out
 
 
 def test_spectrum_output_deterministic(shift_file):

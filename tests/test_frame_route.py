@@ -1,7 +1,8 @@
 """classify answers an unperturbed operator from the frame atom that holds
 the point (regions.Frame.locate); classify_core, which decides every point
-from the components, is the reference it must equal.  iso/acc/pi_0, which
-classify reads from the regions, must equal the closed-form rule."""
+from the components, is the reference it must equal in every set.
+iso/acc/pi_0 must also equal the closed-form rule, evaluated here from the
+shift weights and the family limits."""
 
 import random
 from fractions import Fraction
@@ -38,10 +39,9 @@ MERGED = StructuredOperator(
 
 
 def _fields(cls):
-    """What classify_core decides: every set but iso/acc/pi_0, the index
-    strata, ker_dim, index, ascent and descent."""
-    sets = {k: v for k, v in cls.sets.items() if k not in TOPOLOGICAL}
-    return sets, cls.ker_dim, cls.index, cls.ascent, cls.descent
+    """What classify_core decides: every set, iso/acc/pi_0 and the index
+    strata included, ker_dim, index, ascent and descent."""
+    return cls.sets, cls.ker_dim, cls.index, cls.ascent, cls.descent
 
 
 def _points(op, rng):
@@ -106,24 +106,17 @@ def test_frame_route_equals_the_reference():
 
 
 def test_topology_equals_the_rule():
-    accumulating = isolated = skipped = 0
+    accumulating = isolated = checked = 0
     for op, p in _cases():
-        if isinstance(p, FloatSphere) and build_frame(op).locate(p) is not None:
-            # a FloatSphere that is no exceptional sphere of the frame:
-            # classify_core reads the block at p in floats, but the regions
-            # put p in a cell, so off the shift disc classify reads sigma_S
-            # with neither iso nor acc (ROADMAP item 5)
-            skipped += 1
-            continue
         cls = classify(op, p)
         want = _rule(op, p, classify_core(op, p))
         assert {n: cls.sets[n] for n in TOPOLOGICAL} == want, (op, p)
         accumulating += want["acc"] is Membership.IN
         isolated += want["iso"] is Membership.IN
-    # both branches of the rule are exercised
+        checked += 1
+    # both branches of the rule are exercised, at every point
     assert accumulating and isolated
-    # the nudged FloatSphere beside each exceptional sphere, of 2729 points
-    assert skipped == 65
+    assert checked == 2729
 
 
 def test_block_guard_reads_a_rational_sphere_the_frame_misses():

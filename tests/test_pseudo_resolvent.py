@@ -1,5 +1,5 @@
-"""The pseudo-resolvent: exact route from the cached square, float route
-from the cached embedding, and how often the square is formed."""
+"""The pseudo-resolvent: exact route, float route from the cached
+embedding, and how often the square is formed."""
 
 import random
 from fractions import Fraction
@@ -60,7 +60,8 @@ def test_float_route_kernel_dims_on_eigenspheres():
         a = random_matrix(rng, rng.randint(1, 4))
         for p, mult in right_eigenspheres(a).spheres:
             for q in _representatives(p, rng, 4):
-                exact = kernel_dim_numeric(pseudo_resolvent_at(a, sphere_of(q)))
+                exact = kernel_dim_numeric(
+                    chi(pseudo_resolvent_at(a, sphere_of(q))))
                 fast = kernel_dim_numeric(pseudo_resolvent_chi(a, sphere_of(q)))
                 assert fast == exact > 0
             spheres += 1
@@ -70,7 +71,7 @@ def test_float_route_kernel_dims_on_eigenspheres():
 def test_kernel_dim_numeric_accepts_embedded_array():
     a = QMatrix([[Quaternion(0), Quaternion(1)],
                  [Quaternion(0), Quaternion(0)]])
-    assert kernel_dim_numeric(chi(a)) == kernel_dim_numeric(a) == 1
+    assert kernel_dim_numeric(chi(a)) == 1
     assert kernel_dim_numeric(np.zeros((4, 4), dtype=complex)) == 2
 
 
@@ -78,7 +79,6 @@ def test_caches_leave_equality_and_hash_alone():
     a = QMatrix([[Quaternion(1, 2), Quaternion(0, 0, 1)],
                  [Quaternion(3), Quaternion(0, 0, 0, 1)]])
     b = QMatrix(a.entries)
-    assert a.square == a @ a
     c, c2 = a.chi_pair
     assert np.allclose(c2, chi(a @ a), atol=1e-12)
     assert not c.flags.writeable and not c2.flags.writeable

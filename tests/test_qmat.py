@@ -44,11 +44,11 @@ def test_rank_routes_agree():
         sv = np.linalg.svd(chi(a), compute_uv=False)
         # relative cutoff, scale floored at 1
         assert rank(a) == int(np.sum(sv > 1e-9 * max(sv[0], 1.0))) // 2
-        assert len(kernel_basis(a)) == kernel_dim_numeric(a)
+        assert len(kernel_basis(a)) == kernel_dim_numeric(chi(a))
 
 
 def test_kernel_dim_numeric_zero_matrix():
-    assert kernel_dim_numeric(QMatrix.zeros(3)) == 3
+    assert kernel_dim_numeric(chi(QMatrix.zeros(3))) == 3
 
 
 def test_chi_block_convention():
