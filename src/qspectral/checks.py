@@ -143,9 +143,10 @@ def random_perturbation(rng: random.Random,
 # sampling
 # ---------------------------------------------------------------------
 
-def sample_points(op: StructuredOperator, rng: random.Random,
-                  step: Fraction = Fraction(3, 4),
-                  n_random: int = 6) -> list[HalfPlanePoint]:
+def sample_points(op: StructuredOperator, rng: Optional[random.Random] = None,
+                  step: Fraction = Fraction(3, 4)) -> list[HalfPlanePoint]:
+    """The representatives of op's frame atoms, the square [-3, 3] x [0, 3]
+    sampled at ``step``, and, given an rng, 6 random quarter-grid points."""
     pts = [a.rep for a in build_frame(op).atoms]
     u = Fraction(-3)
     while u <= 3:
@@ -154,7 +155,7 @@ def sample_points(op: StructuredOperator, rng: random.Random,
             pts.append(HalfPlanePoint(u, s))
             s += step
         u += step
-    for _ in range(n_random):
+    for _ in range(0 if rng is None else 6):
         pts.append(HalfPlanePoint(Fraction(rng.randint(-12, 12), 4),
                                   Fraction(rng.randint(0, 12), 4)))
     return pts
@@ -174,8 +175,10 @@ def _flags(cls: SpectralClassification) -> Optional[dict]:
 # ---------------------------------------------------------------------
 
 def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
-                    classify_fn: ClassifyFn = classify,
-                    require_witnesses: bool = True) -> list[SuiteResult]:
+                    classify_fn: ClassifyFn = classify) -> list[SuiteResult]:
+    """The pointwise identities at each unperturbed operator's sample points;
+    with every exemplar in ops, which between them make each inclusion of
+    the chain strict, also chain_strictness_witnesses."""
     partition = SuiteResult("partition")
     schechter = SuiteResult("weyl_schechter_identity")
     essdec = SuiteResult("essential_decomposition")
@@ -229,9 +232,7 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
                                   "Weyl-at-zero criterion violated"))
 
     out = [partition, schechter, essdec, strat, chain, bpi0, w0]
-    if require_witnesses:
-        # strictness of the containment chain is a property of the corpus
-        # as a whole, not of any single operator
+    if all(e in ops for e in exemplars()):
         strict = SuiteResult("chain_strictness_witnesses")
         for key, n in witnesses.items():
             strict.record(n > 0, lambda key=key: f"no witness for {key}")
@@ -312,12 +313,12 @@ def suite_perturbation(ops: Sequence[StructuredOperator], rng: random.Random,
 # oracle suite
 # ---------------------------------------------------------------------
 
-def suite_oracle(ops: Sequence[StructuredOperator], rng: random.Random,
+def suite_oracle(ops: Sequence[StructuredOperator],
                  classify_fn: ClassifyFn = classify,
                  step: Fraction = Fraction(3, 4)) -> list[SuiteResult]:
     res = SuiteResult("oracle_agreement")
     for op in ops:
-        for p in sample_points(op, rng, step=step, n_random=0):
+        for p in sample_points(op, step=step):
             if boundary_distance(op, p) < _oracle.BOUNDARY_BAND:
                 continue
             report = _oracle.cross_check(op, p)
@@ -455,17 +456,10 @@ def suite_matrices(seed: int) -> list[SuiteResult]:
 # ---------------------------------------------------------------------
 
 def run_all(ops: Sequence[StructuredOperator], seed: int,
-            classify_fn: ClassifyFn = classify,
-            include_oracle: bool = True,
-            include_matrices: bool = True,
-            require_witnesses: bool = True) -> list[SuiteResult]:
-    results = []
-    results += suite_pointwise(ops, random.Random(seed + 1), classify_fn,
-                               require_witnesses=require_witnesses)
-    results += suite_regions(ops)
-    results += suite_perturbation(ops[:8], random.Random(seed + 2))
-    if include_oracle:
-        results += suite_oracle(ops, random.Random(seed + 3), classify_fn)
-    if include_matrices:
-        results += suite_matrices(seed)
-    return results
+            classify_fn: ClassifyFn = classify) -> list[SuiteResult]:
+    """Every suite on ops; the matrix suites draw their matrices from seed."""
+    return (suite_pointwise(ops, random.Random(seed + 1), classify_fn)
+            + suite_regions(ops)
+            + suite_perturbation(ops[:8], random.Random(seed + 2))
+            + suite_oracle(ops, classify_fn)
+            + suite_matrices(seed))

@@ -350,9 +350,9 @@ def rank(a: QMatrix) -> int:
     return len(pivots)
 
 
-def kernel_dim_numeric(c: np.ndarray, tol: float = MEMBERSHIP_TOL) -> int:
+def kernel_dim_numeric(c: np.ndarray) -> int:
     """dim_H ker(A) from the singular values of c = chi(A), an embedded
-    2r x 2c complex array."""
+    2r x 2c complex array, read at MEMBERSHIP_TOL."""
     sv = np.linalg.svd(c, compute_uv=False)
     if sv.size == 0:
         return 0
@@ -361,7 +361,7 @@ def kernel_dim_numeric(c: np.ndarray, tol: float = MEMBERSHIP_TOL) -> int:
         return c.shape[1] // 2
     # scale floored at 1: near an eigensphere the whole pseudo-resolvent of
     # a small matrix can be uniformly tiny, which is a kernel, not noise
-    return int(np.sum(sv <= tol * max(top, 1.0))) // 2
+    return int(np.sum(sv <= MEMBERSHIP_TOL * max(top, 1.0))) // 2
 
 
 @dataclass(frozen=True)

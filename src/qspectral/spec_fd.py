@@ -102,10 +102,12 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
 
     One sphere per root pair of a squarefree part f_k of p = prod f_k^k,
     whose factor has algebraic multiplicity k (a real root, k/2).  Each
-    float eigenvalue of chi(A) goes to its nearest root, which must get
-    twice that many.  Multiplicity is dim_H ker R_q(A): 1 on a simple
-    sphere, else the exact kernel, or at a FloatSphere (shown at the
-    centroid of its eigenvalues) the float one clamped to [1, algebraic].
+    root takes twice that many float eigenvalues of chi(A), nearest pairs
+    first, ties to the earlier root, since those of a multiple root spread
+    by about eps^(1/k).  Spheres follow their first eigenvalue in (re, |im|)
+    order.  Multiplicity is dim_H ker R_q(A): 1 on a simple sphere, else the
+    exact kernel, or at a FloatSphere (shown at the centroid of its
+    eigenvalues) the float one clamped to [1, algebraic].
     """
     c = chi(a)
     try:
@@ -123,18 +125,23 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
             if z.imag >= 0:
                 roots.append((z, k * (2 if z.imag > 0 else 1),
                               _rational_sphere(part, z, d)))
-    groups: dict[int, list[tuple[float, float]]] = {}
-    for pt in sorted((float(e.real), abs(float(e.imag))) for e in eigs):
-        near = min(range(len(roots)),
-                   key=lambda i: abs(complex(*pt) - roots[i][0]))
-        groups.setdefault(near, []).append(pt)
+    room = [count for _, count, _ in roots]
+    if sum(room) != len(eigs):
+        raise NumericalError("root counts of Yun's parts do not sum to 2n")
+    ordered = sorted((float(e.real), abs(float(e.imag))) for e in eigs)
+    owner: list[int | None] = [None] * len(ordered)
+    for _, e, i in sorted((abs(complex(*pt) - z), e, i)
+                          for e, pt in enumerate(ordered)
+                          for i, (z, _, _) in enumerate(roots)):
+        if owner[e] is None and room[i]:
+            owner[e], room[i] = i, room[i] - 1
     spheres = []
-    for i, pts in groups.items():
+    for i in dict.fromkeys(owner):
         _, count, p = roots[i]
-        if len(pts) != count or count % 2:
-            raise NumericalError(
-                f"{len(pts)} eigenvalues of chi(A) at a root of "
-                f"multiplicity {count} of its characteristic polynomial")
+        pts = [pt for pt, j in zip(ordered, owner) if j == i]
+        if count % 2:
+            raise NumericalError(f"a real root of odd multiplicity {count} "
+                                 "of the characteristic polynomial")
         if p is None:
             p = FloatSphere(Fraction(sum(x[0] for x in pts) / count),
                             Fraction(sum(x[1] for x in pts) / count))
@@ -147,7 +154,6 @@ def right_eigenspheres(a: QMatrix) -> EigensphereSet:
         else:
             mult = len(kernel_basis(pseudo_resolvent_at(a, p)))
         spheres.append((p, mult))
-    # the counts of all roots sum to 2n, so every root got its eigenvalues
     return EigensphereSet(tuple(spheres))
 
 
@@ -262,7 +268,7 @@ def block_analysis(a: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
     """
     if isinstance(p, FloatSphere):
         rc = pseudo_resolvent_chi(a, p)
-        k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
+        k = kernel_dim_numeric(rc)
         return (k, _stabilization_numeric(rc)) if k else (0, 0)
     if not block_singular(a, p):
         return 0, 0

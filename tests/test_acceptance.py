@@ -59,7 +59,7 @@ def test_criterion_02_sphere_invariance():
     for _ in range(100):
         a = random_matrix(rng, rng.randint(1, 6))
         for p, _mult in right_eigenspheres(a).spheres:
-            dims = {kernel_dim_numeric(chi(pseudo_resolvent(a, q)), 1e-8)
+            dims = {kernel_dim_numeric(chi(pseudo_resolvent(a, q)))
                     for q in _representatives(p, rng, 8)}
             spheres_checked += 1
             if len(dims) != 1 or dims == {0}:
@@ -231,7 +231,7 @@ def test_criterion_09_browder_chain_with_witnesses():
 
 def test_criterion_10_oracle_independence():
     ops = corpus(42, 50)
-    (res,) = suite_oracle(ops, random.Random(10), step=Fraction(1, 2))
+    (res,) = suite_oracle(ops, step=Fraction(1, 2))
     assert res.cases > 2000, f"only {res.cases} decided cells"
     assert res.failures == 0, res.counterexamples
     _report(f"PASS criterion-10 classifier/oracle agreement 100% on "

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 import qspectral.spec_fd as spec_fd
 from qspectral.checks import random_matrix
 from qspectral.opmodel import ComponentAnalysis, _analyze_block
-from qspectral.qmat import (MEMBERSHIP_TOL, QMatrix, kernel_basis,
-                            kernel_dim_numeric)
+from qspectral.qmat import QMatrix, kernel_basis, kernel_dim_numeric
 from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.spec_fd import (FloatSphere, _poly_rem, _stabilization_numeric,
                                asc_dsc, on_eigensphere, pseudo_resolvent_at,
@@ -31,7 +30,7 @@ INVERTIBLE = ComponentAnalysis(0, 0, True, True, 0, 0)
 def _reference(block: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
     if isinstance(p, FloatSphere):
         rc = pseudo_resolvent_chi(block, p)
-        k = kernel_dim_numeric(rc, MEMBERSHIP_TOL)
+        k = kernel_dim_numeric(rc)
         return (k, _stabilization_numeric(rc)) if k else (0, 0)
     r = pseudo_resolvent_at(block, p)
     k = len(kernel_basis(r))

@@ -21,8 +21,8 @@ import qspectral.qmat as qmat
 import qspectral.spec_fd as spec_fd
 from qspectral.cli import EXIT_NUMERICAL, main
 from qspectral.errors import NumericalError
-from qspectral.qmat import (MEMBERSHIP_TOL, QMatrix, chi, chi_charpoly,
-                            kernel_basis, kernel_dim_numeric)
+from qspectral.qmat import (QMatrix, chi, chi_charpoly, kernel_basis,
+                            kernel_dim_numeric)
 from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.spec_fd import (on_eigensphere, pseudo_resolvent_at,
                                pseudo_resolvent_chi, right_eigenspheres)
@@ -61,8 +61,7 @@ def _reference_spheres(a: QMatrix):
         u = sum(p[0] for p in cl) / len(cl)
         s = sum(p[1] for p in cl) / len(cl)
         p = _reference_snap(a, u, s)
-        mult = max(kernel_dim_numeric(pseudo_resolvent_chi(a, p),
-                                      MEMBERSHIP_TOL),
+        mult = max(kernel_dim_numeric(pseudo_resolvent_chi(a, p)),
                    len(kernel_basis(pseudo_resolvent_at(a, p))))
         spheres.append((p, mult or 1))
     return tuple(spheres)

@@ -34,14 +34,22 @@ def test_corpus_starts_with_exemplars():
 
 def test_suites_green_on_small_corpus():
     ops = corpus(11, 14)
-    results = run_all(ops, 11, include_oracle=False, include_matrices=True)
+    results = run_all(ops, 11)
     for r in results:
         assert r.cases > 0, r.name
         assert r.failures == 0, (r.name, r.counterexamples)
 
 
+def test_witness_record_needs_every_exemplar():
+    def names(ops):
+        return {r.name for r in suite_pointwise(ops, random.Random(1))}
+    assert "chain_strictness_witnesses" in names(exemplars())
+    # the three shift exemplars separate no inclusion of the chain
+    assert "chain_strictness_witnesses" not in names(exemplars()[:3])
+
+
 def test_oracle_suite_green_on_exemplars():
-    results = suite_oracle(exemplars()[:5], random.Random(3))
+    results = suite_oracle(exemplars()[:5])
     (res,) = results
     assert res.cases > 0 and res.failures == 0, res.counterexamples
 
@@ -72,8 +80,7 @@ def _resolvent_everywhere(op, p):
 
 
 def test_oracle_suite_detects_sabotage():
-    (res,) = suite_oracle(exemplars()[:4], random.Random(3),
-                          classify_fn=_resolvent_everywhere)
+    (res,) = suite_oracle(exemplars()[:4], classify_fn=_resolvent_everywhere)
     assert res.failures > 0
 
 

@@ -299,6 +299,17 @@ def test_check_small_corpus():
     assert any(line.startswith("oracle_agreement,") for line in lines[1:])
 
 
+def test_check_witness_row_only_with_every_exemplar():
+    # a corpus of shift exemplars alone witnesses no strict inclusion
+    for count in (1, 2, 3):
+        code, out = run(["check", "--corpus", f"42,{count}"])
+        assert code == EXIT_OK
+        assert "chain_strictness_witnesses" not in out
+    code, out = run(["check", "--corpus", "42,11"])
+    assert code == EXIT_OK
+    assert "chain_strictness_witnesses,3,0" in out.splitlines()
+
+
 def test_check_negative_seed_as_separate_argument():
     code, out = run(["check", "--corpus", "-1,20"])
     assert code == EXIT_OK

@@ -1,8 +1,11 @@
 """Finite-dimensional eigenspheres, membership and power stabilization."""
 
+import io
+import json
 from fractions import Fraction
 
 import qspectral.spec_fd as spec_fd
+from qspectral.cli import EXIT_OK, main
 from qspectral.qmat import QMatrix, kernel_basis
 from qspectral.quat import HalfPlanePoint, Quaternion, sphere_of
 from qspectral.spec_fd import (asc_dsc, on_eigensphere, pseudo_resolvent,
@@ -129,3 +132,33 @@ def test_repeated_block_takes_the_exact_kernel(monkeypatch):
                         lambda r: calls.append(r) or kernel_basis(r))
     assert spheres_of(a) == {(0, 1): 2, (2, 0): 2, (1, 1): 2}
     assert len(calls) == 3
+
+
+# S (J_4(1) + [10001/10000]) S^-1 with a rational S
+DEFECTIVE = [
+    ["49997/20000", "-69991/40000", "-5999/16000", "17997/16000", "-10001/40000"],
+    ["-10003/20000", "50009/40000", "18001/16000", "-22003/16000", "-10001/40000"],
+    ["-1/4", "-3/8", "17/16", "-3/16", "-5/8"],
+    ["-7/4", "11/8", "23/16", "-21/16", "-3/8"],
+    ["-19997/20000", "59991/40000", "27999/16000", "-35997/16000", "60001/40000"],
+]
+
+
+def test_each_root_gets_its_count_of_eigenvalues():
+    # the eight float eigenvalues of chi(A) at 1 spread by about eps^(1/4),
+    # so some lie nearer the root at 10001/10000 than to 1
+    a = QMatrix([[Quaternion(Fraction(x)) for x in row] for row in DEFECTIVE])
+    assert [(p.u, p.s_sq, m) for p, m in right_eigenspheres(a).spheres] == [
+        (1, 0, 2), (Fraction(10001, 10000), 0, 1)]
+
+
+def test_cli_prints_the_defective_block(tmp_path):
+    # a nearest-root rule gave three of the eigenvalues at 1 to the root
+    # at 10001/10000 and exited 4
+    path = tmp_path / "defective.json"
+    path.write_text(json.dumps(
+        {"matrix": [[[x, 0, 0, 0] for x in row] for row in DEFECTIVE]}))
+    out = io.StringIO()
+    assert main(["spectrum", str(path)], stdout=out) == EXIT_OK
+    assert out.getvalue().splitlines() == [
+        "u,s,multiplicity", "1.0,0.0,2", "1.0001,0.0,1"]
