@@ -11,6 +11,8 @@ any other domain or delegation error raised while computing, e.g. a tail
 localization that does not terminate), 4 numerical failure (including
 a value beyond float range where a float view of it is taken).  Errors
 2-4 print one line on stderr.
+check FILE runs the operator suites on FILE; check --corpus adds the
+suites over random matrices drawn from the corpus seed.
 The corpus seed comes from --corpus alone.  A negative u may follow
 --point, and a negative seed --corpus, as its own argument (--point -1,0,
 --corpus -1,20).
@@ -26,7 +28,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .checks import ClassifyFn, corpus, run_all
+from .checks import ClassifyFn, corpus, run_all, suite_matrices
 from .errors import NumericalError, QSpectralError, SpecFileError
 from .opmodel import SET_NAMES, Membership, StructuredOperator, classify
 from .oracle import BOUNDARY_BAND, cross_check, agreement
@@ -290,11 +292,11 @@ def cmd_check(args, stdout, classify_fn: ClassifyFn) -> int:
         doc = load_document(args.file)
         if doc.structured is None:
             raise SpecFileError("check takes a structured operator document")
-        ops = [doc.structured]
+        results = run_all([doc.structured], seed, classify_fn=classify_fn)
     else:
-        ops = corpus(seed, count)
-
-    results = run_all(ops, seed, classify_fn=classify_fn)
+        # the matrix suites test the library on random matrices, not FILE
+        results = (run_all(corpus(seed, count), seed, classify_fn=classify_fn)
+                   + suite_matrices(seed))
     stdout.write("suite,cases,failures\n")
     failed = False
     for r in results:

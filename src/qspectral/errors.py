@@ -13,10 +13,6 @@ class DimensionMismatchError(QSpectralError):
     """Incompatible vector/matrix dimensions."""
 
 
-class RankDeficiencyError(QSpectralError):
-    """Linearly dependent input where independence is required."""
-
-
 class NumericalError(QSpectralError):
     """A floating-point computation failed a consistency check."""
 

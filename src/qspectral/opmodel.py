@@ -459,27 +459,3 @@ def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassificatio
     for name in ("iso", "acc", "pi_0"):
         cls.sets[name] = Membership.of(regs[name].contains(p))
     return cls
-
-
-def fredholm_index(op: StructuredOperator, p: HalfPlanePoint) -> Optional[int]:
-    """Index of R_q at p; None when R_q is not semi-Fredholm (undefined).
-
-    On the supported class a semi-Fredholm pseudo-resolvent is Fredholm,
-    so the value is always a finite integer when defined.
-    """
-    return classify_core(op, p).index
-
-
-def weyl_spectrum(op: StructuredOperator):
-    """ws(A) as a RegionSet; invariant under finite-rank perturbations."""
-    from .regions import spectrum_regions
-    return spectrum_regions(op)["ws"]
-
-
-def browder_spectrum(op: StructuredOperator):
-    """Bs(A) as a RegionSet (unperturbed operators only)."""
-    if op.is_perturbed:
-        raise DelegatedError(
-            "Browder set of a perturbed operator is delegated to the oracle")
-    from .regions import spectrum_regions
-    return spectrum_regions(op)["bs"]

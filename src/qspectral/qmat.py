@@ -18,9 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, DomainError, NumericalError,
-                     RankDeficiencyError)
-from .quat import ONE, ZERO, Quaternion, Real, _exact_sqrt, _frac
+from .errors import DimensionMismatchError, DomainError, NumericalError
+from .quat import ONE, ZERO, Quaternion, Real
 
 # Relative min-singular-value spectral membership test.  The float route
 # chi(A)^2 - 2u chi(A) + rho^2 I (spec_fd.pseudo_resolvent_chi) differs
@@ -161,25 +160,8 @@ class QMatrix:
         return QMatrix([[a - b for a, b in zip(ra, rb)]
                         for ra, rb in zip(self.entries, other.entries)])
 
-    def scale_real(self, r: Real) -> "QMatrix":
-        """Entrywise multiplication by a real scalar (side-independent)."""
-        r = _frac(r)
-        return QMatrix([[e * r for e in row] for row in self.entries])
-
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         return matmul(self, other)
-
-    def apply(self, v: QVector) -> QVector:
-        if v.length != self.cols:
-            raise DimensionMismatchError(
-                f"operator of width {self.cols} applied to length-{v.length} vector")
-        out = []
-        for row in self.entries:
-            acc = ZERO
-            for a, x in zip(row, v.entries):
-                acc = acc + a * x
-            out.append(acc)
-        return QVector(out)
 
     def columns(self) -> list[QVector]:
         return [QVector([self.entries[i][j] for i in range(self.rows)])
@@ -381,29 +363,6 @@ class HilbertBasis:
     @classmethod
     def canonical(cls, n: int) -> "HilbertBasis":
         return cls([basis_vector(n, k) for k in range(n)])
-
-
-def gram_schmidt(vectors: Sequence[QVector]) -> HilbertBasis:
-    """Orthonormalize with coefficients applied on the right.
-
-    Raises RankDeficiencyError when the input is right-H-linearly dependent.
-    """
-    if not vectors:
-        raise RankDeficiencyError("empty input")
-    out: list[QVector] = []
-    for v in vectors:
-        w = v
-        for e in out:
-            w = w - e.right_mul(e.inner(w))
-        nsq = float(w.norm_sq())
-        if nsq <= 1e-24:
-            raise RankDeficiencyError("right-linearly dependent input vectors")
-        # exact when the norm-squared is a perfect rational square
-        root = _exact_sqrt(w.norm_sq())
-        inv_norm = (1 / root if root is not None
-                    else Fraction(1.0 / math.sqrt(nsq)))
-        out.append(w.right_mul(inv_norm))
-    return HilbertBasis(out)
 
 
 def finite_rank_op(pairs: Sequence[tuple[QVector, QVector]],

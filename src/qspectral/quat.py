@@ -110,10 +110,6 @@ class Quaternion:
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.q0, self.q1, self.q2, self.q3)
 
-    def to_list(self) -> list[float]:
-        """Serialized form: four-element array [q0, q1, q2, q3]."""
-        return [float(self.q0), float(self.q1), float(self.q2), float(self.q3)]
-
     def to_complex_pair(self) -> tuple[complex, complex]:
         """q = z1 + z2*j with z1 = q0 + q1*i, z2 = q2 + q3*i (floats)."""
         return (complex(float(self.q0), float(self.q1)),
@@ -188,15 +184,3 @@ class HalfPlanePoint:
 def sphere_of(q: Quaternion) -> HalfPlanePoint:
     """(Re q, |Im q|): constant on the similarity sphere [q]."""
     return HalfPlanePoint.from_s_sq(q.q0, q.im_norm_sq())
-
-
-def slice_representative(p: HalfPlanePoint) -> Quaternion:
-    """The representative u + s*i of [q] in the {1, i} slice.
-
-    Exact whenever s is rational; otherwise the i-component is the nearest
-    float.
-    """
-    s = _exact_sqrt(p.s_sq)
-    if s is None:
-        s = Fraction(math.sqrt(float(p.s_sq)))
-    return Quaternion(p.u, s)

@@ -143,13 +143,6 @@ class RegionSet:
             return False
         return any(i.contains(p) for i in self.includes)
 
-    def __contains__(self, p: HalfPlanePoint) -> bool:
-        return self.contains(p)
-
-    def is_empty(self) -> bool:
-        # by construction no include is fully cancelled by the excludes
-        return not self.includes
-
     def canonical_key(self):
         return (frozenset(i.key() for i in self.includes),
                 frozenset(e.key() for e in self.excludes))
@@ -176,20 +169,6 @@ def _row_sort_key(r: dict):
         u = r.get("r_inner") or 0.0
     return (r.get("role") != "include", float(u), float(r.get("s") or 0.0),
             r.get("kind", ""))
-
-
-def region_point(u, s) -> RegionSet:
-    return RegionSet((PointPrim.of(HalfPlanePoint(u, s)),))
-
-
-def region_circle(r) -> RegionSet:
-    r = Fraction(r)
-    return RegionSet((CirclePrim(r * r),))
-
-
-def region_disk(r, closed: bool = True) -> RegionSet:
-    r = Fraction(r)
-    return RegionSet((BandPrim(None, True, r * r, closed),))
 
 
 def region_empty() -> RegionSet:

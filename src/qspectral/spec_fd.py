@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericalError
 from .qmat import (MEMBERSHIP_TOL, QMatrix, chi, denominator, kernel_basis,
                    kernel_dim_numeric, rank)
-from .quat import HalfPlanePoint, Quaternion, sphere_of
+from .quat import HalfPlanePoint, Quaternion
 
 CROSS_CHECK_TOL = 1e-6
 
@@ -49,18 +49,6 @@ class EigensphereSet:
 
     def points(self) -> list[HalfPlanePoint]:
         return [p for p, _ in self.spheres]
-
-
-@dataclass(frozen=True)
-class AscDescReport:
-    ascent: int
-    descent: int
-    stabilization_index: int
-
-
-def pseudo_resolvent(a: QMatrix, q: Quaternion) -> QMatrix:
-    """A^2 - 2 Re(q) A + |q|^2 I; depends on q only through (Re q, |Im q|)."""
-    return pseudo_resolvent_at(a, sphere_of(q))
 
 
 def pseudo_resolvent_at(a: QMatrix, p: HalfPlanePoint) -> QMatrix:
@@ -273,7 +261,7 @@ def block_analysis(a: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
     if not block_singular(a, p):
         return 0, 0
     r = pseudo_resolvent_at(a, p)
-    return len(kernel_basis(r)), asc_dsc(r).ascent
+    return len(kernel_basis(r)), asc_dsc(r)
 
 
 def block_singular(a: QMatrix, p: HalfPlanePoint) -> bool:
@@ -351,11 +339,11 @@ def _stabilization_numeric(c: np.ndarray) -> int:
     return len(ranks) - 2
 
 
-def asc_dsc(a: QMatrix) -> AscDescReport:
-    """Iterate rank(A^k) until stabilization (within n steps).
+def asc_dsc(a: QMatrix) -> int:
+    """The first m with rank(A^(m+1)) == rank(A^m), found within n steps.
 
-    For square matrices the kernel and range chains stabilize at the same
-    power, so ascent = descent.
+    For a square matrix the kernel and range chains stabilize at the same
+    power, so m is both the ascent and the descent.
     """
     n = a.rows
     ranks = [n]
@@ -365,5 +353,4 @@ def asc_dsc(a: QMatrix) -> AscDescReport:
         ranks.append(rank(power))
         if ranks[-1] == ranks[-2]:
             break
-    m = len(ranks) - 2  # first k with rank(A^(k+1)) == rank(A^k)
-    return AscDescReport(ascent=m, descent=m, stabilization_index=m)
+    return len(ranks) - 2

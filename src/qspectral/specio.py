@@ -189,10 +189,3 @@ def load_document(path: str) -> OperatorSpecDocument:
 def operator_dump(op: StructuredOperator) -> str:
     return json.dumps({"structured": structured_to_obj(op)}, indent=None,
                       sort_keys=True)
-
-
-def operator_load(text: str) -> StructuredOperator:
-    doc = document_from_obj(json.loads(text))
-    if doc.structured is None:
-        raise SpecFileError("expected a structured operator dump")
-    return doc.structured

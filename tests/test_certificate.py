@@ -34,7 +34,7 @@ def _reference(block: QMatrix, p: HalfPlanePoint) -> tuple[int, int]:
         return (k, _stabilization_numeric(rc)) if k else (0, 0)
     r = pseudo_resolvent_at(block, p)
     k = len(kernel_basis(r))
-    return (k, asc_dsc(r).ascent) if k else (0, 0)
+    return (k, asc_dsc(r)) if k else (0, 0)
 
 
 def _assert_routes_agree(block: QMatrix, p: HalfPlanePoint) -> None:

@@ -26,6 +26,7 @@ from qspectral.qmat import (QMatrix, chi, chi_charpoly, kernel_basis,
 from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.spec_fd import (on_eigensphere, pseudo_resolvent_at,
                                pseudo_resolvent_chi, right_eigenspheres)
+from qspectral.specio import quat_to_obj
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLUSTER_TOL = 1e-6
@@ -243,7 +244,7 @@ def test_perturbed_charpoly_raises(monkeypatch, tmp_path):
         right_eigenspheres(QMatrix(_BLOCK.entries))
 
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"matrix": [[q.to_list() for q in row]
+    path.write_text(json.dumps({"matrix": [[quat_to_obj(q) for q in row]
                                            for row in _BLOCK.entries]}))
     assert main(["spectrum", str(path)]) == EXIT_NUMERICAL == 4
 

@@ -10,8 +10,8 @@ import qspectral.checks as checks
 import qspectral.leftmul as leftmul
 import qspectral.opmodel as opmodel
 from qspectral.checks import (corpus, exemplars, run_all,
-                              suite_adjoint_identities, suite_oracle,
-                              suite_pointwise, suite_regions)
+                              suite_adjoint_identities, suite_matrices,
+                              suite_oracle, suite_pointwise, suite_regions)
 from qspectral.opmodel import Membership, classify
 from qspectral.qmat import QVector, finite_rank_op
 from qspectral.quat import Quaternion
@@ -34,7 +34,7 @@ def test_corpus_starts_with_exemplars():
 
 def test_suites_green_on_small_corpus():
     ops = corpus(11, 14)
-    results = run_all(ops, 11)
+    results = run_all(ops, 11) + suite_matrices(11)
     for r in results:
         assert r.cases > 0, r.name
         assert r.failures == 0, (r.name, r.counterexamples)

@@ -290,6 +290,15 @@ def test_classify_oracle_disagreement_exits_one(shift_file):
 
 # -- check -------------------------------------------------------------
 
+# the suites over random matrices, which say nothing about a FILE
+MATRIX_SUITES = ("sphere_invariance", "chi_homomorphism",
+                 "adjoint_identities", "ascent_descent")
+
+
+def _suites(out):
+    return [line.split(",")[0] for line in out.splitlines()[1:]]
+
+
 def test_check_small_corpus():
     code, out = run(["check", "--corpus", "11,6"])
     assert code == EXIT_OK
@@ -308,6 +317,7 @@ def test_check_witness_row_only_with_every_exemplar():
     code, out = run(["check", "--corpus", "42,11"])
     assert code == EXIT_OK
     assert "chain_strictness_witnesses,3,0" in out.splitlines()
+    assert _suites(out)[-4:] == list(MATRIX_SUITES)
 
 
 def test_check_negative_seed_as_separate_argument():
@@ -320,6 +330,8 @@ def test_check_single_operator_file(shift_file):
     code, out = run(["check", shift_file])
     assert code == EXIT_OK
     assert "suite,cases,failures" in out
+    assert "oracle_agreement" in _suites(out)
+    assert not set(MATRIX_SUITES) & set(_suites(out))
 
 
 def test_check_detects_sabotaged_classifier():

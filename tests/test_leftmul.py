@@ -8,8 +8,9 @@ from qspectral.checks import _householder_basis
 from qspectral.errors import DimensionMismatchError
 from qspectral.leftmul import (adjoint_identities_check, left_scalar_op,
                                left_scalar_vec, right_scalar_op)
-from qspectral.qmat import HilbertBasis, QMatrix, QVector, gram_schmidt
+from qspectral.qmat import HilbertBasis, QMatrix, QVector
 from qspectral.quat import Quaternion
+from support import gram_schmidt
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)

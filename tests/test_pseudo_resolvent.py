@@ -17,7 +17,11 @@ from qspectral.spec_fd import (pseudo_resolvent_at, pseudo_resolvent_chi,
 
 def _formula(a: QMatrix, p: HalfPlanePoint) -> QMatrix:
     ident = QMatrix.identity(a.rows)
-    return a @ a - a.scale_real(2 * p.u) + ident.scale_real(p.radius_sq)
+    return a @ a - _scaled(a, 2 * p.u) + _scaled(ident, p.radius_sq)
+
+
+def _scaled(a: QMatrix, r: Fraction) -> QMatrix:
+    return QMatrix([[e * r for e in row] for row in a.entries])
 
 
 def _points(rng: random.Random):

@@ -7,8 +7,8 @@ import pytest
 
 import qspectral.quat as quat_mod
 from qspectral.errors import DomainError
-from qspectral.quat import (HalfPlanePoint, Quaternion, sphere_of,
-                            slice_representative)
+from qspectral.quat import HalfPlanePoint, Quaternion, sphere_of
+from support import slice_representative
 
 ONE = Quaternion(1)
 I = Quaternion(0, 1)

@@ -13,9 +13,9 @@ from qspectral.opmodel import (BACKWARD, INVARIANT_SETS, ConstantFamily,
 from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.regions import (BandPrim, CirclePrim, PointPrim, RegionSet,
-                               SequencePrim, boundary_distance, region_circle,
-                               region_disk, region_empty, region_point,
+                               SequencePrim, boundary_distance, region_empty,
                                spectrum_regions)
+from support import region_circle, region_disk, region_point
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -36,15 +36,18 @@ CONST_I = StructuredOperator(diagonal_families=(ConstantFamily(I),))
 
 def test_primitive_containment():
     disk = region_disk(1)
-    assert hp(0) in disk and hp(1) in disk and hp(HALF, HALF) in disk
-    assert hp(2) not in disk
+    assert all(disk.contains(p) for p in (hp(0), hp(1), hp(HALF, HALF)))
+    assert not disk.contains(hp(2))
     open_disk = region_disk(1, closed=False)
-    assert hp(1) not in open_disk and hp(Fraction(99, 100)) in open_disk
+    assert not open_disk.contains(hp(1))
+    assert open_disk.contains(hp(Fraction(99, 100)))
     circ = region_circle(1)
-    assert hp(1) in circ and hp(0, 1) in circ and hp(HALF) not in circ
-    assert region_empty().is_empty()
+    assert circ.contains(hp(1)) and circ.contains(hp(0, 1))
+    assert not circ.contains(hp(HALF))
+    assert not region_empty().includes
     pt = region_point(1, 2)
-    assert HalfPlanePoint.from_s_sq(1, 4) in pt and hp(1) not in pt
+    assert pt.contains(HalfPlanePoint.from_s_sq(1, 4))
+    assert not pt.contains(hp(1))
 
 
 def test_same_set_is_structural():
@@ -63,16 +66,16 @@ def test_shift_region_table():
     assert regs["sigma_er"].same_set(region_circle(1))
     assert regs["sigma_rs"].same_set(region_disk(1, closed=False))
     assert regs["sigma_cs"].same_set(region_circle(1))
-    assert regs["sigma_ps"].is_empty()
-    assert regs["sigma_0"].is_empty()
+    assert not regs["sigma_ps"].includes
+    assert not regs["sigma_0"].includes
     assert regs["ws"].same_set(region_disk(1))
     assert regs["bs"].same_set(region_disk(1))
     assert regs["sigma_k:-2"].same_set(region_disk(1, closed=False))
-    assert regs["sigma_plus_inf"].is_empty()
-    assert regs["sigma_minus_inf"].is_empty()
-    assert regs["iso"].is_empty()
+    assert not regs["sigma_plus_inf"].includes
+    assert not regs["sigma_minus_inf"].includes
+    assert not regs["iso"].includes
     assert regs["acc"].same_set(region_disk(1))
-    assert regs["pi_0"].is_empty()
+    assert not regs["pi_0"].includes
 
 
 def test_shift_region_rows_serializable():
@@ -86,11 +89,12 @@ def test_two_shift_annulus():
     regs = spectrum_regions(op)
     assert regs["sigma_s"].same_set(region_disk(2))
     # indices -2 between the radii, -4 inside both
-    assert hp(1) in regs["sigma_k:-2"]
-    assert hp(Fraction(1, 4)) in regs["sigma_k:-4"]
-    assert hp(1) not in regs["sigma_k:-4"]
-    assert hp(HALF) in regs["sigma_e"] and hp(2) in regs["sigma_e"]
-    assert hp(1) not in regs["sigma_e"]
+    assert regs["sigma_k:-2"].contains(hp(1))
+    assert regs["sigma_k:-4"].contains(hp(Fraction(1, 4)))
+    assert not regs["sigma_k:-4"].contains(hp(1))
+    assert regs["sigma_e"].contains(hp(HALF))
+    assert regs["sigma_e"].contains(hp(2))
+    assert not regs["sigma_e"].contains(hp(1))
 
 
 # -- point and sequence regions ---------------------------------------
@@ -102,20 +106,20 @@ def test_constant_family_regions():
     assert regs["sigma_e"].same_set(target)
     assert regs["ws"].same_set(target)
     assert regs["iso"].same_set(target)
-    assert regs["pi_0"].is_empty()
+    assert not regs["pi_0"].includes
 
 
 def test_geometric_family_regions():
     regs = spectrum_regions(GEOM)
     sig = regs["sigma_s"]
     for m in range(1, 12):
-        assert hp(Fraction(1, 2 ** m)) in sig
-    assert hp(0) in sig
-    assert hp(Fraction(1, 3)) not in sig
-    assert hp(HALF) in regs["pi_0"]
-    assert hp(0) not in regs["pi_0"]
+        assert sig.contains(hp(Fraction(1, 2 ** m)))
+    assert sig.contains(hp(0))
+    assert not sig.contains(hp(Fraction(1, 3)))
+    assert regs["pi_0"].contains(hp(HALF))
+    assert not regs["pi_0"].contains(hp(0))
     assert regs["sigma_e"].same_set(region_point(0, 0))
-    assert hp(HALF) in regs["iso"]
+    assert regs["iso"].contains(hp(HALF))
     assert regs["acc"].same_set(region_point(0, 0))
 
 

@@ -11,7 +11,8 @@ from qspectral.opmodel import perturb
 from qspectral.qmat import QVector
 from qspectral.quat import Quaternion
 from qspectral.specio import (document_from_obj, load_document, operator_dump,
-                              operator_load, quat_from_obj, quat_to_obj)
+                              quat_from_obj, quat_to_obj)
+from support import operator_load
 
 
 def test_quat_literals_accept_rational_strings():
