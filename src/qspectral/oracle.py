@@ -111,12 +111,23 @@ def _component_singular_values(op: StructuredOperator, n: int,
             vals = np.sqrt(re * re + (2 * d0 - 2 * u) ** 2 * imn2)
             svs.append(np.repeat(vals, 2))
         else:
-            s = np.diag(np.full(n - 1, float(comp.weight)), -1)
-            r = s @ s - 2 * u * s + rho_sq * np.eye(n)
-            svs.append(np.repeat(np.linalg.svd(r, compute_uv=False), 2))
+            svs.append(np.repeat(
+                _shift_singular_values(float(comp.weight), n, u, rho_sq), 2))
     if not svs:
         return np.array([])
     return np.sort(np.concatenate(svs))[::-1]
+
+
+@lru_cache(maxsize=4096)
+def _shift_singular_values(weight: float, n: int, u: float,
+                           rho_sq: float) -> np.ndarray:
+    """Singular values of S^2 - 2u S + rho^2 I for the n x n truncation S
+    of a weighted shift (a shift and its adjoint share them); read-only."""
+    s = np.diag(np.full(n - 1, weight), -1)
+    sv = np.linalg.svd(s @ s - 2 * u * s + rho_sq * np.eye(n),
+                       compute_uv=False)
+    sv.flags.writeable = False
+    return sv
 
 
 @lru_cache(maxsize=4096)
@@ -137,7 +148,7 @@ def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(n):
             entries.append(comp.entry_at(t))
             t *= comp.ratio
-    d0 = np.array([float(d.q0) for d in entries])
+    d0 = np.array([d.n0 / d.d for d in entries])
     imn2 = np.array([float(d.im_norm_sq()) for d in entries])
     return d0, imn2
 

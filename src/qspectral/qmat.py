@@ -213,8 +213,7 @@ def chi(a: QMatrix) -> np.ndarray:
 
 def denominator(a: QMatrix) -> int:
     """The common denominator of A's components."""
-    return math.lcm(*(x.denominator for row in a.entries for q in row
-                      for x in q.components()))
+    return math.lcm(*(q.d for row in a.entries for q in row))
 
 
 def chi_charpoly(a: QMatrix) -> list[Fraction]:
@@ -233,8 +232,9 @@ def chi_charpoly(a: QMatrix) -> list[Fraction]:
     im = [[0] * m for _ in range(m)]
     for i, row in enumerate(a.entries):
         for j, q in enumerate(row):
-            x0, x1, x2, x3 = (x.numerator * (d // x.denominator)
-                              for x in q.components())
+            scale = d // q.d
+            x0, x1, x2, x3 = (q.n0 * scale, q.n1 * scale, q.n2 * scale,
+                              q.n3 * scale)
             # the block [[z1, z2], [-conj(z2), conj(z1)]] of chi
             re[2 * i][2 * j], im[2 * i][2 * j] = x0, x1
             re[2 * i][2 * j + 1], im[2 * i][2 * j + 1] = x2, x3

@@ -1,14 +1,16 @@
 """Exact quaternion arithmetic, slice decomposition and similarity spheres.
 
-Components are kept as :class:`fractions.Fraction` throughout, so products,
-conjugates and norms-squared are exact whenever the inputs are rational
-(floats are converted to their exact binary rational value).  Floating
-representations appear only downstream, inside the eigensolver.
+A quaternion is four integer numerators over one positive denominator, in
+lowest terms, so products, conjugates and norms-squared are exact whenever
+the inputs are rational (floats are converted to their exact binary
+rational value); each component reads back as a :class:`fractions.Fraction`.
+Floating representations appear only downstream, inside the eigensolver.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,31 +38,88 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    """q0 + q1*i + q2*j + q3*k with exact rational components."""
+    """(n0 + n1*i + n2*j + n3*k) / d with exact rational components.
 
-    q0: Fraction
-    q1: Fraction
-    q2: Fraction
-    q3: Fraction
+    The integers are in lowest terms, gcd(n0, n1, n2, n3, d) = 1 with
+    d > 0, so equal quaternions have equal integers.  Every operator works
+    on them and reduces its result with one gcd; q0..q3 read the
+    components back as Fractions.  Instances are immutable.
+    """
+
+    __slots__ = ("n0", "n1", "n2", "n3", "d")
 
     def __init__(self, q0: Real = 0, q1: Real = 0, q2: Real = 0, q3: Real = 0):
-        object.__setattr__(self, "q0", _frac(q0))
-        object.__setattr__(self, "q1", _frac(q1))
-        object.__setattr__(self, "q2", _frac(q2))
-        object.__setattr__(self, "q3", _frac(q3))
+        if type(q0) is type(q1) is type(q2) is type(q3) is int:
+            _init(self, q0, q1, q2, q3, 1)
+            return
+        f0, f1, f2, f3 = _frac(q0), _frac(q1), _frac(q2), _frac(q3)
+        d = math.lcm(f0.denominator, f1.denominator, f2.denominator,
+                     f3.denominator)
+        # each Fraction is in lowest terms, so d/denominator keeps the
+        # integers in lowest terms too
+        _init(self, f0.numerator * (d // f0.denominator),
+              f1.numerator * (d // f1.denominator),
+              f2.numerator * (d // f2.denominator),
+              f3.numerator * (d // f3.denominator), d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Quaternion is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Quaternion is immutable: cannot delete {name!r}")
+
+    # -- components ----------------------------------------------------
+    @property
+    def q0(self) -> Fraction:
+        return Fraction(self.n0, self.d)
+
+    @property
+    def q1(self) -> Fraction:
+        return Fraction(self.n1, self.d)
+
+    @property
+    def q2(self) -> Fraction:
+        return Fraction(self.n2, self.d)
+
+    @property
+    def q3(self) -> Fraction:
+        return Fraction(self.n3, self.d)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Quaternion:
+            return NotImplemented
+        return (self.n0 == other.n0 and self.n1 == other.n1
+                and self.n2 == other.n2 and self.n3 == other.n3
+                and self.d == other.d)
+
+    def __hash__(self) -> int:
+        """hash((q0, q1, q2, q3)), from the integers."""
+        try:
+            dinv = pow(self.d, -1, _HASH_MODULUS)
+        except ValueError:
+            # d is a multiple of the modulus: a rare case left to Fraction
+            return hash(self.components())
+        return hash(tuple(_frac_hash(n, dinv)
+                          for n in (self.n0, self.n1, self.n2, self.n3)))
 
     # -- algebra -------------------------------------------------------
     def __add__(self, other: "Quaternion | Real") -> "Quaternion":
-        other = _as_quat(other)
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
+        b = _as_quat(other)
+        da, db = self.d, b.d
+        if da == db:
+            return _reduced(self.n0 + b.n0, self.n1 + b.n1, self.n2 + b.n2,
+                            self.n3 + b.n3, da)
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        return _reduced(self.n0 * ma + b.n0 * mb, self.n1 * ma + b.n1 * mb,
+                        self.n2 * ma + b.n2 * mb, self.n3 * ma + b.n3 * mb,
+                        da * ma)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        return _make(-self.n0, -self.n1, -self.n2, -self.n3, self.d)
 
     def __sub__(self, other: "Quaternion | Real") -> "Quaternion":
         return self + (-_as_quat(other))
@@ -69,14 +128,15 @@ class Quaternion:
         return _as_quat(other) + (-self)
 
     def __mul__(self, other: "Quaternion | Real") -> "Quaternion":
-        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
+        a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
         b = _as_quat(other)
-        b0, b1, b2, b3 = b.q0, b.q1, b.q2, b.q3
-        return Quaternion(
+        b0, b1, b2, b3 = b.n0, b.n1, b.n2, b.n3
+        return _reduced(
             a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
             a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+            self.d * b.d,
         )
 
     def __rmul__(self, other: Real) -> "Quaternion":
@@ -84,45 +144,89 @@ class Quaternion:
 
     # -- involutions and norms ----------------------------------------
     def conj(self) -> "Quaternion":
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
+        return _make(self.n0, -self.n1, -self.n2, -self.n3, self.d)
 
     def norm_sq(self) -> Fraction:
-        return self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
+        n0, n1, n2, n3, d = self.n0, self.n1, self.n2, self.n3, self.d
+        return Fraction(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3, d * d)
 
     def __abs__(self) -> float:
         return math.sqrt(float(self.norm_sq()))
 
     def im_norm_sq(self) -> Fraction:
         """|Im q|^2, exact."""
-        return self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
+        n1, n2, n3, d = self.n1, self.n2, self.n3, self.d
+        return Fraction(n1 * n1 + n2 * n2 + n3 * n3, d * d)
 
     def is_zero(self) -> bool:
-        return self.norm_sq() == 0
+        return not (self.n0 or self.n1 or self.n2 or self.n3)
 
     def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
+        n0, n1, n2, n3, d = self.n0, self.n1, self.n2, self.n3, self.d
+        n = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
         if n == 0:
             raise DomainError("non-invertible: zero quaternion")
-        c = self.conj()
-        return Quaternion(c.q0 / n, c.q1 / n, c.q2 / n, c.q3 / n)
+        # conj(q) / |q|^2 = (n0, -n1, -n2, -n3) d / n
+        return _reduced(n0 * d, -n1 * d, -n2 * d, -n3 * d, n)
 
     # -- misc ----------------------------------------------------------
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.q0, self.q1, self.q2, self.q3)
 
     def to_complex_pair(self) -> tuple[complex, complex]:
-        """q = z1 + z2*j with z1 = q0 + q1*i, z2 = q2 + q3*i (floats)."""
-        return (complex(float(self.q0), float(self.q1)),
-                complex(float(self.q2), float(self.q3)))
+        """q = z1 + z2*j with z1 = q0 + q1*i, z2 = q2 + q3*i (floats).
+
+        Integer true division is correctly rounded, as float(q0) is."""
+        d = self.d
+        return (complex(self.n0 / d, self.n1 / d),
+                complex(self.n2 / d, self.n3 / d))
 
     def __repr__(self) -> str:
         return f"Quaternion({self.q0}, {self.q1}, {self.q2}, {self.q3})"
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+_new = object.__new__
+_init_slots = tuple(getattr(Quaternion, name).__set__
+                    for name in Quaternion.__slots__)
+
+
+def _init(q: Quaternion, n0: int, n1: int, n2: int, n3: int, d: int) -> None:
+    s0, s1, s2, s3, sd = _init_slots
+    s0(q, n0)
+    s1(q, n1)
+    s2(q, n2)
+    s3(q, n3)
+    sd(q, d)
+
+
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Quaternion:
+    """The quaternion (n0, n1, n2, n3) / d, already in lowest terms."""
+    q = _new(Quaternion)
+    _init(q, n0, n1, n2, n3, d)
+    return q
+
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> Quaternion:
+    """The quaternion (n0, n1, n2, n3) / d, for any d > 0."""
+    g = math.gcd(d, n0, n1, n2, n3)
+    if g != 1:
+        return _make(n0 // g, n1 // g, n2 // g, n3 // g, d // g)
+    return _make(n0, n1, n2, n3, d)
+
+
+def _frac_hash(n: int, dinv: int) -> int:
+    """hash(Fraction(n, d)) given dinv = d^-1 modulo the hash modulus;
+    Fraction.__hash__'s formula, which holds for n / d in any terms."""
+    h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
 def _as_quat(x: "Quaternion | Real") -> Quaternion:
     if isinstance(x, Quaternion):
         return x
-    return Quaternion(_frac(x))
+    return Quaternion(x)
 
 
 ZERO = Quaternion(0)
@@ -183,4 +287,4 @@ class HalfPlanePoint:
 
 def sphere_of(q: Quaternion) -> HalfPlanePoint:
     """(Re q, |Im q|): constant on the similarity sphere [q]."""
-    return HalfPlanePoint.from_s_sq(q.q0, q.im_norm_sq())
+    return HalfPlanePoint.from_s_sq(Fraction(q.n0, q.d), q.im_norm_sq())

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +319,17 @@ def test_check_witness_row_only_with_every_exemplar():
     assert code == EXIT_OK
     assert "chain_strictness_witnesses,3,0" in out.splitlines()
     assert _suites(out)[-4:] == list(MATRIX_SUITES)
+
+
+def test_check_case_counts_match_the_benchmark_record():
+    # the benchmark reads a changed case count as a changed workload
+    record = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "check_cases.json").read_text())["cases"]["0"]
+    code, out = run(["check", "--corpus", "0,20"])
+    assert code == EXIT_OK
+    cases = {suite: int(n) for suite, n, _ in
+             (line.split(",") for line in out.splitlines()[1:])}
+    assert cases == record
 
 
 def test_check_negative_seed_as_separate_argument():

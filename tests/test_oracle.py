@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import qspectral.oracle as oracle_mod
 from qspectral.errors import DimensionMismatchError, DomainError
 from qspectral.opmodel import (BACKWARD, ConstantFamily, GeometricFamily,
                                Membership, ShiftTail, StructuredOperator,
@@ -106,6 +108,23 @@ def test_fast_and_dense_routes_agree():
     for a, b in zip(fast_rep.min_singular_values,
                     dense_rep.min_singular_values):
         assert abs(a - b) <= 1e-10 * max(1.0, a)
+
+
+def test_shift_singular_values_cached_bit_for_bit_and_read_only():
+    for weight, n, u, rho_sq in ((1.0, 16, 0.0, 0.25), (1.5, 32, 0.75, 1.0),
+                                 (0.4, 64, -1.25, 3.0625)):
+        s = np.diag(np.full(n - 1, weight), -1)
+        fresh = np.linalg.svd(s @ s - 2 * u * s + rho_sq * np.eye(n),
+                              compute_uv=False)
+        first = oracle_mod._shift_singular_values(weight, n, u, rho_sq)
+        again = oracle_mod._shift_singular_values(weight, n, u, rho_sq)
+        assert again is first
+        assert first.tobytes() == fresh.tobytes()
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+    info = oracle_mod._shift_singular_values.cache_info()
+    assert info.maxsize is not None and info.hits >= 3
 
 
 def test_agreement_contract():

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qspectral.quat as quat_mod
 from qspectral.errors import DomainError
@@ -160,3 +162,98 @@ def test_quat_accepts_mixed_literals():
 def test_import_as_binds_the_module():
     # a package attribute named quat would shadow the submodule here
     assert quat_mod.__name__ == "qspectral.quat"
+
+
+# -- the integer representation against Fraction arithmetic ------------
+
+_COMPONENT = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10 ** 6, 10 ** 6).map(Fraction),
+    st.fractions(max_denominator=10 ** 30))
+_QUAT = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT,
+                  _COMPONENT).map(lambda c: Quaternion(*c))
+
+
+def _ref_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _lowest_terms(q):
+    return q.d > 0 and math.gcd(q.n0, q.n1, q.n2, q.n3, q.d) == 1
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(p=_QUAT, q=_QUAT, r=_COMPONENT)
+def test_operators_match_fraction_arithmetic(p, q, r):
+    a, b = p.components(), q.components()
+    assert (p.q0, p.q1, p.q2, p.q3) == a
+    assert all(type(c) is Fraction for c in a)
+    cases = [
+        (p + q, tuple(x + y for x, y in zip(a, b))),
+        (p - q, tuple(x - y for x, y in zip(a, b))),
+        (-p, tuple(-x for x in a)),
+        (p * q, _ref_mul(a, b)),
+        (p.conj(), (a[0], -a[1], -a[2], -a[3])),
+        (p * r, tuple(x * r for x in a)),
+        (r * p, tuple(r * x for x in a)),
+        (p + r, (a[0] + r, *a[1:])),
+        (r - p, (r - a[0], *(-x for x in a[1:]))),
+    ]
+    norm = sum(x * x for x in a)
+    if norm:
+        cases.append((p.inverse(), tuple(x / norm for x in
+                                         (a[0], -a[1], -a[2], -a[3]))))
+    else:
+        with pytest.raises(DomainError):
+            p.inverse()
+    for got, want in cases:
+        assert got.components() == want
+        assert _lowest_terms(got)
+    assert p.norm_sq() == norm
+    assert p.im_norm_sq() == a[1] ** 2 + a[2] ** 2 + a[3] ** 2
+    assert p.is_zero() == (norm == 0)
+    assert p.to_complex_pair() == (complex(float(a[0]), float(a[1])),
+                                   complex(float(a[2]), float(a[3])))
+    assert _lowest_terms(p)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(p=_QUAT, q=_QUAT)
+def test_equality_and_hash_follow_the_components(p, q):
+    assert (p == q) == (p.components() == q.components())
+    assert hash(p) == hash((p.q0, p.q1, p.q2, p.q3))
+    same = Quaternion(*p.components())
+    assert same == p and hash(same) == hash(p)
+    assert p != p.components() and p != 0
+
+
+def test_hash_with_a_denominator_at_the_hash_modulus():
+    m = quat_mod._HASH_MODULUS
+    for q in (Quaternion(Fraction(1, m), 2), Quaternion(Fraction(3, 2 * m)),
+              Quaternion(Fraction(-5, m), 0, Fraction(1, 7))):
+        assert hash(q) == hash(q.components())
+
+
+def test_quaternion_is_immutable():
+    q = Quaternion(1, 2, 3, 4)
+    for name in ("n0", "n1", "n2", "n3", "d", "q0", "q3", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert q == Quaternion(1, 2, 3, 4)
+
+
+def test_construction_from_int_float_and_fraction_literals():
+    q = Quaternion(2, 0.5, Fraction(-1, 3), -7)
+    assert q.components() == (2, Fraction(1, 2), Fraction(-1, 3), -7)
+    assert (q.n0, q.n1, q.n2, q.n3, q.d) == (12, 3, -2, -42, 6)
+    assert Quaternion(True) == Quaternion(1)
+    assert Quaternion(0.1).q0 == Fraction(0.1)
+    assert Quaternion() == Quaternion(Fraction(0), 0.0) == quat_mod.ZERO
+    assert (quat_mod.ZERO.n0, quat_mod.ZERO.d) == (0, 1)
