@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .errors import DelegatedError, DomainError
 from .qmat import QMatrix, QVector, adjoint
 from .quat import (HalfPlanePoint, Quaternion, Real, _exact_sqrt, _frac,
-                   _reduced, sphere_of)
+                   sphere_of)
 from .spec_fd import FloatSphere, block_analysis, block_singular
 
 INF = math.inf
@@ -82,13 +82,7 @@ class GeometricFamily:
 
         Callers walking m upwards keep t and multiply it by the ratio.
         """
-        lim, off = self.limit, self.offset
-        od = off.d * t.denominator
-        d = math.lcm(lim.d, od)
-        ml, mo = d // lim.d, t.numerator * (d // od)
-        return _reduced(lim.n0 * ml + off.n0 * mo, lim.n1 * ml + off.n1 * mo,
-                        lim.n2 * ml + off.n2 * mo, lim.n3 * ml + off.n3 * mo,
-                        d)
+        return self.limit + self.offset * t
 
     @cached_property
     def sphere_coeffs(self) -> tuple[Fraction, ...]:
@@ -99,8 +93,7 @@ class GeometricFamily:
         e.g. a family and its conjugate share them.
         """
         lim, off = self.limit, self.offset
-        a = Fraction(2 * (lim.n1 * off.n1 + lim.n2 * off.n2
-                          + lim.n3 * off.n3), lim.d * off.d)
+        a = 2 * (lim.q1 * off.q1 + lim.q2 * off.q2 + lim.q3 * off.q3)
         return (lim.q0, lim.im_norm_sq(), off.q0, a, off.im_norm_sq())
 
     def sphere(self, m: int) -> HalfPlanePoint:

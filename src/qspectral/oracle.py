@@ -148,7 +148,7 @@ def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(n):
             entries.append(comp.entry_at(t))
             t *= comp.ratio
-    d0 = np.array([d.n0 / d.d for d in entries])
+    d0 = np.array([float(d.q0) for d in entries])
     imn2 = np.array([float(d.im_norm_sq()) for d in entries])
     return d0, imn2
 

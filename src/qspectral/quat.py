@@ -10,7 +10,6 @@ Floating representations appear only downstream, inside the eigensolver.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,9 +49,6 @@ class Quaternion:
     __slots__ = ("n0", "n1", "n2", "n3", "d")
 
     def __init__(self, q0: Real = 0, q1: Real = 0, q2: Real = 0, q3: Real = 0):
-        if type(q0) is type(q1) is type(q2) is type(q3) is int:
-            _init(self, q0, q1, q2, q3, 1)
-            return
         f0, f1, f2, f3 = _frac(q0), _frac(q1), _frac(q2), _frac(q3)
         d = math.lcm(f0.denominator, f1.denominator, f2.denominator,
                      f3.denominator)
@@ -94,22 +90,12 @@ class Quaternion:
                 and self.d == other.d)
 
     def __hash__(self) -> int:
-        """hash((q0, q1, q2, q3)), from the integers."""
-        try:
-            dinv = pow(self.d, -1, _HASH_MODULUS)
-        except ValueError:
-            # d is a multiple of the modulus: a rare case left to Fraction
-            return hash(self.components())
-        return hash(tuple(_frac_hash(n, dinv)
-                          for n in (self.n0, self.n1, self.n2, self.n3)))
+        return hash(self.components())
 
     # -- algebra -------------------------------------------------------
     def __add__(self, other: "Quaternion | Real") -> "Quaternion":
         b = _as_quat(other)
         da, db = self.d, b.d
-        if da == db:
-            return _reduced(self.n0 + b.n0, self.n1 + b.n1, self.n2 + b.n2,
-                            self.n3 + b.n3, da)
         g = math.gcd(da, db)
         ma, mb = db // g, da // g
         return _reduced(self.n0 * ma + b.n0 * mb, self.n1 * ma + b.n1 * mb,
@@ -185,24 +171,17 @@ class Quaternion:
         return f"Quaternion({self.q0}, {self.q1}, {self.q2}, {self.q3})"
 
 
-_HASH_MODULUS = sys.hash_info.modulus
-_new = object.__new__
-_init_slots = tuple(getattr(Quaternion, name).__set__
-                    for name in Quaternion.__slots__)
-
-
 def _init(q: Quaternion, n0: int, n1: int, n2: int, n3: int, d: int) -> None:
-    s0, s1, s2, s3, sd = _init_slots
-    s0(q, n0)
-    s1(q, n1)
-    s2(q, n2)
-    s3(q, n3)
-    sd(q, d)
+    object.__setattr__(q, "n0", n0)
+    object.__setattr__(q, "n1", n1)
+    object.__setattr__(q, "n2", n2)
+    object.__setattr__(q, "n3", n3)
+    object.__setattr__(q, "d", d)
 
 
 def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Quaternion:
     """The quaternion (n0, n1, n2, n3) / d, already in lowest terms."""
-    q = _new(Quaternion)
+    q = object.__new__(Quaternion)
     _init(q, n0, n1, n2, n3, d)
     return q
 
@@ -213,14 +192,6 @@ def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> Quaternion:
     if g != 1:
         return _make(n0 // g, n1 // g, n2 // g, n3 // g, d // g)
     return _make(n0, n1, n2, n3, d)
-
-
-def _frac_hash(n: int, dinv: int) -> int:
-    """hash(Fraction(n, d)) given dinv = d^-1 modulo the hash modulus;
-    Fraction.__hash__'s formula, which holds for n / d in any terms."""
-    h = hash(hash(abs(n)) * dinv)
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def _as_quat(x: "Quaternion | Real") -> Quaternion:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericalError
 from .qmat import (MEMBERSHIP_TOL, QMatrix, chi, denominator, kernel_basis,
                    kernel_dim_numeric, rank)
-from .quat import HalfPlanePoint, _reduced
+from .quat import HalfPlanePoint
 
 CROSS_CHECK_TOL = 1e-6
 
@@ -55,25 +55,15 @@ def pseudo_resolvent_at(a: QMatrix, p: HalfPlanePoint) -> QMatrix:
     """R = A^2 - 2u A + rho^2 I, exact.
 
     Entrywise (A^2)_ij - 2u A_ij + rho^2 delta_ij: past A^2, every term is
-    a quaternion scaled by a real, so each entry is formed in integers over
-    one common denominator.
+    a quaternion scaled by a real.
     """
     two_u, rho_sq = 2 * p.u, p.radius_sq
-    tn, td = two_u.numerator, two_u.denominator
-    rn, rd = rho_sq.numerator, rho_sq.denominator
     rows = []
     for i, (sq_row, a_row) in enumerate(zip((a @ a).entries, a.entries)):
         row = []
         for j, (s, e) in enumerate(zip(sq_row, a_row)):
-            ed = td * e.d
-            d = math.lcm(s.d, ed, rd) if i == j else math.lcm(s.d, ed)
-            ms, me = d // s.d, tn * (d // ed)
-            n0 = s.n0 * ms - e.n0 * me
-            if i == j:
-                n0 += rn * (d // rd)
-            row.append(_reduced(n0, s.n1 * ms - e.n1 * me,
-                                s.n2 * ms - e.n2 * me, s.n3 * ms - e.n3 * me,
-                                d))
+            r = s - e * two_u
+            row.append(r + rho_sq if i == j else r)
         rows.append(row)
     return QMatrix(rows)
 

@@ -232,13 +232,6 @@ def test_equality_and_hash_follow_the_components(p, q):
     assert p != p.components() and p != 0
 
 
-def test_hash_with_a_denominator_at_the_hash_modulus():
-    m = quat_mod._HASH_MODULUS
-    for q in (Quaternion(Fraction(1, m), 2), Quaternion(Fraction(3, 2 * m)),
-              Quaternion(Fraction(-5, m), 0, Fraction(1, 7))):
-        assert hash(q) == hash(q.components())
-
-
 def test_quaternion_is_immutable():
     q = Quaternion(1, 2, 3, 4)
     for name in ("n0", "n1", "n2", "n3", "d", "q0", "q3", "other"):
