@@ -1,13 +1,14 @@
 """Invariant suites and the seeded operator corpus.
 
-Every suite is a pure function of an operator list plus an RNG, and the
-point-based suites accept a ``classify_fn`` hook so a deliberately broken
-classifier can be injected to prove the suites have teeth.  Results are
+Every suite is a pure function of an operator list plus an RNG; the
+point-based suites read one sample table, whose ``classify_fn`` hook lets a
+broken classifier be injected to prove the suites have teeth.  Results are
 machine-readable (suite name, cases, failures, counterexamples).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,10 +144,10 @@ def random_perturbation(rng: random.Random,
 # sampling
 # ---------------------------------------------------------------------
 
-def sample_points(op: StructuredOperator, rng: Optional[random.Random] = None,
+def sample_points(op: StructuredOperator,
                   step: Fraction = Fraction(3, 4)) -> list[HalfPlanePoint]:
-    """The representatives of op's frame atoms, the square [-3, 3] x [0, 3]
-    sampled at ``step``, and, given an rng, 6 random quarter-grid points."""
+    """The representatives of op's frame atoms and the square
+    [-3, 3] x [0, 3] sampled at ``step``."""
     pts = [a.rep for a in build_frame(op).atoms]
     u = Fraction(-3)
     while u <= 3:
@@ -155,10 +156,26 @@ def sample_points(op: StructuredOperator, rng: Optional[random.Random] = None,
             pts.append(HalfPlanePoint(u, s))
             s += step
         u += step
-    for _ in range(0 if rng is None else 6):
-        pts.append(HalfPlanePoint(Fraction(rng.randint(-12, 12), 4),
-                                  Fraction(rng.randint(0, 12), 4)))
     return pts
+
+
+def random_points(rng: random.Random) -> list[HalfPlanePoint]:
+    """6 random quarter-grid points of the same square."""
+    return [HalfPlanePoint(Fraction(rng.randint(-12, 12), 4),
+                           Fraction(rng.randint(0, 12), 4)) for _ in range(6)]
+
+
+def sample_table(ops: Sequence[StructuredOperator], rng: random.Random,
+                 classify_fn: ClassifyFn = classify,
+                 step: Fraction = Fraction(3, 4)) -> list[tuple]:
+    """(op, sample_points, random_points, verdict) per operator, for one
+    run of the point-based suites.  Only the pointwise suite reads the
+    random points, which each unperturbed operator in turn draws from rng;
+    verdict(p) is classify_fn at op and p, formed once per distinct p."""
+    return [(op, sample_points(op, step),
+             [] if op.is_perturbed else random_points(rng),
+             functools.cache(functools.partial(classify_fn, op)))
+            for op in ops]
 
 
 def _flags(cls: SpectralClassification) -> Optional[dict]:
@@ -174,11 +191,10 @@ def _flags(cls: SpectralClassification) -> Optional[dict]:
 # point-based suites
 # ---------------------------------------------------------------------
 
-def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
-                    classify_fn: ClassifyFn = classify) -> list[SuiteResult]:
+def suite_pointwise(table: Sequence[tuple]) -> list[SuiteResult]:
     """The pointwise identities at each unperturbed operator's sample points;
-    with every exemplar in ops, which between them make each inclusion of
-    the chain strict, also chain_strictness_witnesses."""
+    with every exemplar in the table, which between them make each
+    inclusion of the chain strict, also chain_strictness_witnesses."""
     partition = SuiteResult("partition")
     schechter = SuiteResult("weyl_schechter_identity")
     essdec = SuiteResult("essential_decomposition")
@@ -188,11 +204,11 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
     w0 = SuiteResult("weyl_at_origin")
     witnesses = {"invertible_browder": 0, "browder_weyl": 0, "weyl_fredholm": 0}
 
-    for op in ops:
+    for op, points, drawn, verdict in table:
         if op.is_perturbed:
             continue
-        for p in sample_points(op, rng):
-            f = _flags(classify_fn(op, p))
+        for p in points + drawn:
+            f = _flags(verdict(p))
             if f is None:
                 continue
             resolvent = not f["sigma_s"]
@@ -224,7 +240,7 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
                 witnesses["browder_weyl"] += 1
             if f["ws"] and not f["sigma_e"]:
                 witnesses["weyl_fredholm"] += 1
-        f0 = _flags(classify_fn(op, HalfPlanePoint(0, 0)))
+        f0 = _flags(verdict(HalfPlanePoint(0, 0)))
         if f0 is not None:
             w0.record(
                 (not f0["ws"]) == ((not f0["sigma_s"]) or f0["sigma_0"]),
@@ -232,6 +248,7 @@ def suite_pointwise(ops: Sequence[StructuredOperator], rng: random.Random,
                                   "Weyl-at-zero criterion violated"))
 
     out = [partition, schechter, essdec, strat, chain, bpi0, w0]
+    ops = [op for op, *_ in table]
     if all(e in ops for e in exemplars()):
         strict = SuiteResult("chain_strictness_witnesses")
         for key, n in witnesses.items():
@@ -313,19 +330,16 @@ def suite_perturbation(ops: Sequence[StructuredOperator], rng: random.Random,
 # oracle suite
 # ---------------------------------------------------------------------
 
-def suite_oracle(ops: Sequence[StructuredOperator],
-                 classify_fn: ClassifyFn = classify,
-                 step: Fraction = Fraction(3, 4)) -> list[SuiteResult]:
+def suite_oracle(table: Sequence[tuple]) -> list[SuiteResult]:
     res = SuiteResult("oracle_agreement")
-    for op in ops:
-        for p in sample_points(op, step=step):
+    for op, points, _, verdict in table:
+        for p in points:
             if boundary_distance(op, p) < _oracle.BOUNDARY_BAND:
                 continue
             report = _oracle.cross_check(op, p)
             if report.verdict == _oracle.INCONCLUSIVE:
                 continue
-            cls = classify_fn(op, p)
-            res.record(_oracle.agreement(cls.sets["sigma_s"], report),
+            res.record(_oracle.agreement(verdict(p).sets["sigma_s"], report),
                        lambda op=op, p=p, r=report: _ce(
                            op, p, f"oracle {r.verdict} vs classifier"))
     return [res]
@@ -457,7 +471,8 @@ def suite_matrices(seed: int) -> list[SuiteResult]:
 def run_all(ops: Sequence[StructuredOperator], seed: int,
             classify_fn: ClassifyFn = classify) -> list[SuiteResult]:
     """Every operator suite on ops, their sample points drawn from seed."""
-    return (suite_pointwise(ops, random.Random(seed + 1), classify_fn)
+    table = sample_table(ops, random.Random(seed + 1), classify_fn)
+    return (suite_pointwise(table)
             + suite_regions(ops)
             + suite_perturbation(ops[:8], random.Random(seed + 2))
-            + suite_oracle(ops, classify_fn))
+            + suite_oracle(table))

@@ -1,12 +1,13 @@
 """Constructors the tests build expectations from; no production path
 needs them, so they live here and not in the package."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from qspectral.opmodel import StructuredOperator
+from qspectral.opmodel import Membership, StructuredOperator, classify
 from qspectral.qmat import HilbertBasis, QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion, _exact_sqrt
 from qspectral.regions import BandPrim, CirclePrim, PointPrim, RegionSet
@@ -72,3 +73,21 @@ def operator_load(text: str) -> StructuredOperator:
     doc = document_from_obj(json.loads(text))
     assert doc.structured is not None, "expected a structured operator dump"
     return doc.structured
+
+
+def weyl_flipped(op, p):
+    """A sabotaged classifier: every decided Weyl verdict inverted."""
+    cls = classify(op, p)
+    if cls.sets["ws"] is Membership.DELEGATED:
+        return cls
+    flipped = (Membership.OUT if cls.sets["ws"] is Membership.IN
+               else Membership.IN)
+    return dataclasses.replace(cls, sets={**cls.sets, "ws": flipped})
+
+
+def resolvent_everywhere(op, p):
+    """A sabotaged classifier: every point in the resolvent."""
+    cls = classify(op, p)
+    partition = ("sigma_s", "sigma_ps", "sigma_rs", "sigma_cs")
+    return dataclasses.replace(cls, sets={
+        **cls.sets, **dict.fromkeys(partition, Membership.OUT)})

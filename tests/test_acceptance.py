@@ -12,8 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from qspectral.checks import (_representatives, corpus, exemplars,
-                              random_matrix, suite_oracle, suite_perturbation,
-                              suite_pointwise, suite_regions)
+                              random_matrix, sample_table, suite_oracle,
+                              suite_perturbation, suite_pointwise,
+                              suite_regions)
 from qspectral.cli import _grid_points
 from qspectral.leftmul import adjoint_identities_check, left_scalar_vec
 from qspectral.opmodel import (ConstantFamily, Membership, StructuredOperator,
@@ -221,7 +222,8 @@ def test_criterion_08_shift_anchor_with_oracle():
 
 def test_criterion_09_browder_chain_with_witnesses():
     ops = corpus(42, 50)
-    results = {r.name: r for r in suite_pointwise(ops, random.Random(9))}
+    table = sample_table(ops, random.Random(9))
+    results = {r.name: r for r in suite_pointwise(table)}
     for name in ("browder_chain", "browder_implies_pi0"):
         assert results[name].failures == 0, results[name].counterexamples
     strict = results["chain_strictness_witnesses"]
@@ -232,7 +234,8 @@ def test_criterion_09_browder_chain_with_witnesses():
 
 def test_criterion_10_oracle_independence():
     ops = corpus(42, 50)
-    (res,) = suite_oracle(ops, step=Fraction(1, 2))
+    (res,) = suite_oracle(sample_table(ops, random.Random(10),
+                                       step=Fraction(1, 2)))
     assert res.cases > 2000, f"only {res.cases} decided cells"
     assert res.failures == 0, res.counterexamples
     _report(f"PASS criterion-10 classifier/oracle agreement 100% on "

@@ -9,13 +9,14 @@ import pytest
 import qspectral.checks as checks
 import qspectral.leftmul as leftmul
 import qspectral.opmodel as opmodel
-from qspectral.checks import (corpus, exemplars, run_all,
+from qspectral.checks import (corpus, exemplars, run_all, sample_table,
                               suite_adjoint_identities, suite_matrices,
                               suite_oracle, suite_pointwise, suite_regions)
-from qspectral.opmodel import Membership, classify
 from qspectral.qmat import QVector, finite_rank_op
 from qspectral.quat import Quaternion
 from qspectral.specio import operator_dump
+
+from support import resolvent_everywhere, weyl_flipped
 
 
 def test_corpus_is_deterministic():
@@ -42,45 +43,30 @@ def test_suites_green_on_small_corpus():
 
 def test_witness_record_needs_every_exemplar():
     def names(ops):
-        return {r.name for r in suite_pointwise(ops, random.Random(1))}
+        table = sample_table(ops, random.Random(1))
+        return {r.name for r in suite_pointwise(table)}
     assert "chain_strictness_witnesses" in names(exemplars())
     # the three shift exemplars separate no inclusion of the chain
     assert "chain_strictness_witnesses" not in names(exemplars()[:3])
 
 
 def test_oracle_suite_green_on_exemplars():
-    results = suite_oracle(exemplars()[:5])
+    results = suite_oracle(sample_table(exemplars()[:5], random.Random(1)))
     (res,) = results
     assert res.cases > 0 and res.failures == 0, res.counterexamples
 
 
-def _sabotaged(op, p):
-    """A classifier that reports every Weyl verdict inverted."""
-    cls = classify(op, p)
-    if cls.sets["ws"] is Membership.DELEGATED:
-        return cls
-    flipped = (Membership.OUT if cls.sets["ws"] is Membership.IN
-               else Membership.IN)
-    return dataclasses.replace(cls, sets={**cls.sets, "ws": flipped})
-
-
 def test_pointwise_suites_detect_sabotage():
     ops = corpus(11, 6)
-    results = suite_pointwise(ops, random.Random(11), classify_fn=_sabotaged)
+    results = suite_pointwise(sample_table(ops, random.Random(11), weyl_flipped))
     by_name = {r.name: r for r in results}
     assert by_name["weyl_schechter_identity"].failures > 0
     assert by_name["weyl_schechter_identity"].counterexamples
 
 
-def _resolvent_everywhere(op, p):
-    cls = classify(op, p)
-    partition = ("sigma_s", "sigma_ps", "sigma_rs", "sigma_cs")
-    return dataclasses.replace(cls, sets={
-        **cls.sets, **dict.fromkeys(partition, Membership.OUT)})
-
-
 def test_oracle_suite_detects_sabotage():
-    (res,) = suite_oracle(exemplars()[:4], classify_fn=_resolvent_everywhere)
+    (res,) = suite_oracle(sample_table(exemplars()[:4], random.Random(1),
+                                       resolvent_everywhere))
     assert res.failures > 0
 
 

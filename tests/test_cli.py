@@ -13,6 +13,8 @@ from qspectral.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
 from qspectral.errors import NumericalError
 from qspectral.opmodel import SET_NAMES, Membership, classify
 
+from support import resolvent_everywhere, weyl_flipped
+
 
 def run(argv, classify_fn=classify):
     out = io.StringIO()
@@ -321,15 +323,28 @@ def test_check_witness_row_only_with_every_exemplar():
     assert _suites(out)[-4:] == list(MATRIX_SUITES)
 
 
-def test_check_case_counts_match_the_benchmark_record():
+@pytest.mark.parametrize("corpus_seed", ["0", "1", "2"])
+def test_check_case_counts_match_the_benchmark_record(corpus_seed):
     # the benchmark reads a changed case count as a changed workload
     record = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                         / "check_cases.json").read_text())["cases"]["0"]
-    code, out = run(["check", "--corpus", "0,20"])
+                         / "check_cases.json").read_text())["cases"]
+    code, out = run(["check", "--corpus", f"{corpus_seed},20"])
     assert code == EXIT_OK
     cases = {suite: int(n) for suite, n, _ in
              (line.split(",") for line in out.splitlines()[1:])}
-    assert cases == record
+    assert cases == record[corpus_seed]
+
+
+def test_check_classifies_each_operator_point_once():
+    # the pointwise and oracle suites read one table of verdicts
+    pairs = []
+
+    def counting(op, p):
+        pairs.append((id(op), p))
+        return classify(op, p)
+    code, _ = run(["check", "--corpus", "0,20"], classify_fn=counting)
+    assert code == EXIT_OK
+    assert len(pairs) == len(set(pairs)) == 1075
 
 
 def test_check_negative_seed_as_separate_argument():
@@ -346,17 +361,18 @@ def test_check_single_operator_file(shift_file):
     assert not set(MATRIX_SUITES) & set(_suites(out))
 
 
-def test_check_detects_sabotaged_classifier():
-    def sabotaged(op, p):
-        cls = classify(op, p)
-        if cls.sets["ws"] is Membership.DELEGATED:
-            return cls
-        flipped = (Membership.OUT if cls.sets["ws"] is Membership.IN
-                   else Membership.IN)
-        return dataclasses.replace(cls, sets={**cls.sets, "ws": flipped})
+@pytest.mark.parametrize("sabotaged, failing_suite", [
+    (weyl_flipped, None), (resolvent_everywhere, "oracle_agreement")],
+    ids=["weyl_flipped", "resolvent_everywhere"])
+def test_check_detects_sabotaged_classifier(sabotaged, failing_suite):
     code, out = run(["check", "--corpus", "11,4"], classify_fn=sabotaged)
     assert code == EXIT_VIOLATION
     assert "counterexamples:" in out
+    if failing_suite:
+        # the oracle suite reads classify_fn's verdicts, not the frame's
+        (failures,) = [int(line.split(",")[2]) for line in out.splitlines()
+                       if line.startswith(f"{failing_suite},")]
+        assert failures > 0
 
 
 # -- exit codes --------------------------------------------------------

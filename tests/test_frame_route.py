@@ -7,7 +7,7 @@ shift weights and the family limits."""
 import random
 from fractions import Fraction
 
-from qspectral.checks import corpus, exemplars, sample_points
+from qspectral.checks import corpus, exemplars, random_points, sample_points
 from qspectral.opmodel import (GeometricFamily, Membership, ShiftTail,
                                StructuredOperator, classify, classify_core)
 from qspectral.qmat import QMatrix
@@ -49,7 +49,7 @@ def _points(op, rng):
     point nearest each exceptional sphere and a FloatSphere next to it,
     each tail's limit and its spheres m0 and m0 + 1, points on each shift
     circle, and random rationals."""
-    pts = sample_points(op, rng)
+    pts = sample_points(op) + random_points(rng)
     for a in build_frame(op).atoms:
         if isinstance(a.prim, PointPrim):
             pts.append(HalfPlanePoint.from_s_sq(
