@@ -33,7 +33,7 @@ from .errors import NumericalError, QSpectralError, SpecFileError
 from .opmodel import SET_NAMES, Membership, StructuredOperator, classify
 from .oracle import BOUNDARY_BAND, cross_check, agreement
 from .quat import HalfPlanePoint
-from .regions import boundary_distance, region_empty, spectrum_regions
+from .regions import RegionSet, boundary_distance, spectrum_regions
 from .spec_fd import on_eigensphere, right_eigenspheres
 from .specio import OperatorSpecDocument, load_document
 
@@ -166,7 +166,7 @@ def cmd_spectrum(args, stdout, classify_fn: ClassifyFn) -> int:
     regs = spectrum_regions(op)
     names = list(args.set) if args.set else sorted(regs)
     # every index stratum is exact, so one the operator lacks is empty
-    regs.update({n: region_empty() for n in names
+    regs.update({n: RegionSet() for n in names
                  if n.startswith("sigma_k:") and n not in regs})
     delegated = [n for n in names if n not in regs]
     if delegated and not args.oracle:

@@ -310,9 +310,9 @@ def _analyze_shift(tail: ShiftTail, p: HalfPlanePoint) -> ComponentAnalysis:
     return ComponentAnalysis(2, 0, True, False, INF, 0, True)
 
 
-def _analyze_components(op: StructuredOperator,
-                        p: HalfPlanePoint) -> ComponentAnalysis:
-    """The direct-sum analysis of op's unperturbed part at p: it reads the
+def _analyze_summands(op: StructuredOperator,
+                      p: HalfPlanePoint) -> list[ComponentAnalysis]:
+    """The analyses at p of the summands of op's unperturbed part: the
     block, the families and the tails, never the perturbation."""
     parts = []
     if op.finite_block is not None:
@@ -324,17 +324,7 @@ def _analyze_components(op: StructuredOperator,
             parts.append(_analyze_geometric(fam, p))
     for tail in op.shift_tails:
         parts.append(_analyze_shift(tail, p))
-    ker = sum(c.ker for c in parts)
-    coker = sum(c.coker for c in parts)
-    return ComponentAnalysis(
-        ker=ker,
-        coker=coker,
-        range_closed=all(c.range_closed for c in parts),
-        invertible=all(c.invertible for c in parts),
-        asc=max(c.asc for c in parts),
-        dsc=max(c.dsc for c in parts),
-        accumulates=any(c.accumulates for c in parts),
-    )
+    return parts
 
 
 # ---------------------------------------------------------------------
@@ -382,30 +372,51 @@ class SpectralClassification:
 
 def classify_core(op: StructuredOperator,
                   p: HalfPlanePoint) -> SpectralClassification:
-    """The whole verdict at p, from the components at p.  sigma_S is the
-    union of the summands' sigma_S, so it accumulates at p iff some summand's
-    does (p in a shift's closed disc, or a family's limit sphere): acc =
-    sigma_S and that, iso = sigma_S and not acc, pi_0 = iso and sigma_0."""
-    a = _analyze_components(op, p)
+    """The whole verdict at p, from the components at p."""
+    return _direct_sum(p, _analyze_summands(op, p), op.is_perturbed)
 
-    semi_left = a.range_closed and a.ker != INF
-    semi_right = a.range_closed and a.coker != INF
+
+def classify_shifts(tails: Sequence[ShiftTail],
+                    p: HalfPlanePoint) -> SpectralClassification:
+    """The verdict at p of the shifts alone (none: every set OUT).  Off the
+    block's eigenspheres, the constant values, and the family spheres and
+    limits, the block and the families are invertible at p and add no
+    kernel, cokernel, ascent or accumulation, so there this is
+    classify_core's verdict on any unperturbed operator with these shifts."""
+    return _direct_sum(p, [_analyze_shift(t, p) for t in tails])
+
+
+def _direct_sum(p: HalfPlanePoint, parts: Sequence[ComponentAnalysis],
+                perturbed: bool = False) -> SpectralClassification:
+    """The verdict at p of the direct sum whose summands analyse to parts.
+    sigma_S is the union of the summands' sigma_S, so it accumulates at p
+    iff some summand's does (p in a shift's closed disc, or a family's limit
+    sphere): acc = sigma_S and that, iso = sigma_S and not acc, pi_0 = iso
+    and sigma_0.  An empty parts is the zero space, where p is resolvent."""
+    ker = sum(c.ker for c in parts)
+    coker = sum(c.coker for c in parts)
+    range_closed = all(c.range_closed for c in parts)
+    asc = max((c.asc for c in parts), default=0)
+    dsc = max((c.dsc for c in parts), default=0)
+
+    semi_left = range_closed and ker != INF
+    semi_right = range_closed and coker != INF
     fred = semi_left and semi_right
-    index = int(a.ker - a.coker) if fred else None
-    in_sigma = not a.invertible
+    index = int(ker - coker) if fred else None
+    in_sigma = not all(c.invertible for c in parts)
     in_ws = not (fred and index == 0)
-    acc = in_sigma and a.accumulates
+    acc = in_sigma and any(c.accumulates for c in parts)
     flags = {
         "sigma_s": in_sigma,
-        "sigma_ps": a.ker > 0,
-        "sigma_rs": a.ker == 0 and a.coker > 0,
-        "sigma_cs": in_sigma and a.ker == 0 and a.coker == 0,
+        "sigma_ps": ker > 0,
+        "sigma_rs": ker == 0 and coker > 0,
+        "sigma_cs": in_sigma and ker == 0 and coker == 0,
         "sigma_el": not semi_left,
         "sigma_er": not semi_right,
         "sigma_e": not fred,
         "sigma_0": in_sigma and not in_ws,
         "ws": in_ws,
-        "bs": not (fred and a.asc != INF and a.dsc != INF),
+        "bs": not (fred and asc != INF and dsc != INF),
         # a semi-Fredholm R_q is Fredholm here, so these sets are empty
         "sigma_plus_inf": False,
         "sigma_minus_inf": False,
@@ -415,17 +426,16 @@ def classify_core(op: StructuredOperator,
     }
     # a perturbation leaves exact only the sets is_invariant names; sigma_s
     # contains ws either way
-    exact = not op.is_perturbed
     sets = {name: Membership.of(flags[name])
-            if exact or is_invariant(name) else Membership.DELEGATED
+            if not perturbed or is_invariant(name) else Membership.DELEGATED
             for name in SET_NAMES}
     if in_ws:
         sets["sigma_s"] = Membership.IN
     if index:
         sets[f"sigma_k:{index}"] = Membership.IN
-    if exact:
-        return SpectralClassification(p, sets, a.ker, index, a.asc, a.dsc)
-    return SpectralClassification(p, sets, None, index, None, None)
+    if perturbed:
+        return SpectralClassification(p, sets, None, index, None, None)
+    return SpectralClassification(p, sets, ker, index, asc, dsc)
 
 
 def classify(op: StructuredOperator, p: HalfPlanePoint) -> SpectralClassification:

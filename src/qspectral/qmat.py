@@ -144,10 +144,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int) -> "QMatrix":
-        return cls([[ZERO] * n for _ in range(n)])
-
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("matrix shapes differ")
@@ -360,21 +356,9 @@ class HilbertBasis:
     def __getitem__(self, k: int) -> QVector:
         return self.vectors[k]
 
-    @classmethod
-    def canonical(cls, n: int) -> "HilbertBasis":
-        return cls([basis_vector(n, k) for k in range(n)])
 
-
-def finite_rank_op(pairs: Sequence[tuple[QVector, QVector]],
-                   dim: int | None = None) -> QMatrix:
-    """The operator phi -> sum_j psi_j <phi_j|phi>.
-
-    ``dim`` is required for an empty pair list (zero operator).
-    """
-    if not pairs:
-        if dim is None:
-            raise DomainError("dim required for an empty pair list")
-        return QMatrix.zeros(dim)
+def finite_rank_op(pairs: Sequence[tuple[QVector, QVector]]) -> QMatrix:
+    """The operator phi -> sum_j psi_j <phi_j|phi>, for a nonempty list."""
     n = pairs[0][0].length
     for psi, phi in pairs:
         if psi.length != n or phi.length != n:

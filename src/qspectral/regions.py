@@ -21,17 +21,12 @@ from typing import Optional, Sequence, Union
 from .errors import DomainError
 from .opmodel import (ConstantFamily, GeometricFamily, Membership,
                       SpectralClassification, StructuredOperator,
-                      classify_core, geometric_sphere_indices, is_invariant)
+                      classify_core, classify_shifts,
+                      geometric_sphere_indices, is_invariant)
 from .quat import HalfPlanePoint, sphere_of
 from .spec_fd import right_eigenspheres
 
 _SCAN_CAP = 2000
-# float distance a cell or circle representative keeps from every
-# exceptional sphere.  Verdicts there are exact either way (a rational point
-# is decided by exact division; only a spec_fd.FloatSphere takes the float
-# route), but the value fixes where the representatives, which are also the
-# check suites' sample points, land
-REP_CLEARANCE = 1e-3
 # boundary_distance's tail walk stops at this sphere spacing / |offset|
 TAIL_SPACING = 1e-4
 
@@ -171,10 +166,6 @@ def _row_sort_key(r: dict):
             r.get("kind", ""))
 
 
-def region_empty() -> RegionSet:
-    return RegionSet()
-
-
 # ---------------------------------------------------------------------
 # frame
 # ---------------------------------------------------------------------
@@ -184,8 +175,10 @@ class Atom:
     """One frame atom: the region primitive it stands for, the point it is
     classified at, the index of the radial atom around it (None for cells
     and circles; _build_region writes a point or tail atom as an include
-    or exclude of that atom's set), and classify_core's verdict at that
-    point, which decides the atom's membership in every set."""
+    or exclude of that atom's set), and the verdict that decides the atom's
+    membership in every set: classify_core's at that point for a point or
+    tail atom, the shifts' alone (opmodel.classify_shifts) for a cell or
+    circle, whose point may then lie on an exceptional sphere or a tail."""
 
     prim: Union[BandPrim, CirclePrim, PointPrim, SequencePrim]
     rep: HalfPlanePoint
@@ -215,9 +208,10 @@ class Frame:
         """The radial atom (cell or circle) holding p, or None when p is an
         exceptional sphere or lies on a tail.
 
-        Off those, the families and shifts act at p as at the radial atom's
-        representative.  The finite block need not: a rational sphere
-        reported as a spec_fd.FloatSphere is no point key.
+        Off those, only the shifts act at p, and they act as at the radial
+        atom's representative, whose verdict is theirs alone.  The finite
+        block is checked by the caller: a rational sphere reported as a
+        spec_fd.FloatSphere is no point key.
         """
         if (p.u, p.s_sq) in self._point_keys:
             return None
@@ -260,12 +254,16 @@ def _radial_index(radii: list[Fraction], r_sq: Fraction) -> int:
 
 
 def _rat_sqrt_ub(x: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(x), x >= 0."""
+    """Rational upper bound for sqrt(x), x >= 0: the float root, raised by
+    1001/1000 if below, or (isqrt(n*d) + 1)/d for x = n/d where that is
+    still below (x underflows a float)."""
     if x == 0:
         return Fraction(0)
     r = Fraction(math.sqrt(float(x)))
-    while r * r < x:
+    if r * r < x:
         r *= Fraction(1001, 1000)
+    if r * r < x:
+        r = Fraction(math.isqrt(x.numerator * x.denominator) + 1, x.denominator)
     return r
 
 
@@ -308,38 +306,20 @@ def _tail_start_radial(fam: GeometricFamily, radii: list[Fraction],
     raise DomainError("tail localization did not terminate")
 
 
-def _pick_cell_rep(lo: Optional[Fraction], hi: Optional[Fraction],
-                   collides) -> HalfPlanePoint:
+def _cell_rep(cell: BandPrim) -> HalfPlanePoint:
+    """The cell's representative: (sqrt(mid), 0) for the middle radius^2
+    mid, the root rounded through limit_denominator(10**6), or the exact
+    (0, sqrt(mid)) where that rounding leaves the cell."""
+    lo, hi = cell.lo_sq, cell.hi_sq
     if hi is None:
         mid = (lo if lo is not None else Fraction(0)) + 1
     elif lo is None:
         mid = hi / 2
     else:
         mid = (lo + hi) / 2
-    base = Fraction(math.sqrt(float(mid))).limit_denominator(10 ** 6)
-    for k in range(400):
-        u = base + Fraction(k, 10 ** 5)
-        r2 = u * u
-        if lo is not None and r2 <= lo:
-            continue
-        if hi is not None and r2 >= hi:
-            continue
-        p = HalfPlanePoint.from_s_sq(u, Fraction(0))
-        if not collides(p):
-            return p
-    raise DomainError("could not place a cell representative")
-
-
-def _pick_circle_rep(r_sq: Fraction, collides) -> HalfPlanePoint:
-    unit = min(Fraction(1), r_sq)
-    for k in range(400):
-        u = Fraction(k, 1021) * unit
-        if u * u >= r_sq and k > 0:
-            break
-        p = HalfPlanePoint.from_s_sq(u, r_sq - u * u)
-        if not collides(p):
-            return p
-    raise DomainError("could not place a circle representative")
+    u = Fraction(math.sqrt(float(mid))).limit_denominator(10 ** 6)
+    p = HalfPlanePoint.from_s_sq(u, Fraction(0))
+    return p if cell.contains(p) else HalfPlanePoint.from_s_sq(0, mid)
 
 
 def build_frame(op: StructuredOperator) -> Frame:
@@ -351,9 +331,12 @@ def new_frame(base: StructuredOperator) -> Frame:
     """Build the frame of an unperturbed operator; StructuredOperator.frame
     keeps it.
 
-    Each atom is built holding classify_core's verdict at its
-    representative, iso/acc/pi_0 included, and the regions are read from
-    those verdicts.
+    Each point and tail atom is built holding classify_core's verdict at
+    its representative, iso/acc/pi_0 included.  Each cell and circle holds
+    the verdict of the shifts alone (opmodel.classify_shifts) at its
+    representative, which is classify_core's at every point of the atom off
+    the exceptional spheres and tails; the representative itself may lie on
+    one.  The regions are read from those verdicts.
     """
     radii = sorted({t.weight * t.weight for t in base.shift_tails})
     geoms = [f for f in base.diagonal_families if isinstance(f, GeometricFamily)]
@@ -387,32 +370,25 @@ def new_frame(base: StructuredOperator) -> Frame:
     else:
         raise DomainError("tail/exceptional-point separation did not settle")
 
-    points = pts  # final deduped exceptional spheres
+    def radial(prim, rep: HalfPlanePoint) -> Atom:
+        return Atom(prim, rep, None, classify_shifts(base.shift_tails, rep))
 
-    def collides(p: HalfPlanePoint) -> bool:
-        if any(p.dist(e) < REP_CLEARANCE for e in points):
-            return True
-        return any(geometric_sphere_indices(f, p, m0)
-                   for f, m0 in zip(geoms, starts))
-
-    def atom(prim, rep: HalfPlanePoint, host: Optional[int] = None) -> Atom:
-        return Atom(prim, rep, host, classify_core(base, rep))
+    def atom(prim, rep: HalfPlanePoint) -> Atom:
+        return Atom(prim, rep, _radial_index(radii, rep.radius_sq),
+                    classify_core(base, rep))
 
     atoms: list[Atom] = []
     for i in range(len(radii) + 1):
         lo, hi = _cell_bounds(radii, i)
-        atoms.append(atom(BandPrim(lo, False, hi, False),
-                          _pick_cell_rep(lo, hi, collides)))
+        cell = BandPrim(lo, False, hi, False)
+        atoms.append(radial(cell, _cell_rep(cell)))
         if i < len(radii):
-            atoms.append(atom(CirclePrim(radii[i]),
-                              _pick_circle_rep(radii[i], collides)))
-    for p in points:
-        atoms.append(atom(PointPrim.of(p), p,
-                          _radial_index(radii, p.radius_sq)))
+            atoms.append(radial(CirclePrim(radii[i]),
+                                HalfPlanePoint.from_s_sq(0, radii[i])))
+    for p in pts:
+        atoms.append(atom(PointPrim.of(p), p))
     for f, m0 in zip(geoms, starts):
-        rep = f.sphere(m0)
-        atoms.append(atom(SequencePrim(f, m0), rep,
-                          _radial_index(radii, rep.radius_sq)))
+        atoms.append(atom(SequencePrim(f, m0), f.sphere(m0)))
 
     frame = Frame(radii, atoms)
     # SET_NAMES, then each index stratum that some atom carries

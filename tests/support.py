@@ -8,8 +8,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from qspectral.opmodel import Membership, StructuredOperator, classify
-from qspectral.qmat import HilbertBasis, QMatrix, QVector
-from qspectral.quat import HalfPlanePoint, Quaternion, _exact_sqrt
+from qspectral.qmat import HilbertBasis, QMatrix, QVector, basis_vector
+from qspectral.quat import ZERO, HalfPlanePoint, Quaternion, _exact_sqrt
 from qspectral.regions import BandPrim, CirclePrim, PointPrim, RegionSet
 from qspectral.specio import document_from_obj
 
@@ -26,6 +26,14 @@ def region_circle(r) -> RegionSet:
 def region_disk(r, closed: bool = True) -> RegionSet:
     r = Fraction(r)
     return RegionSet((BandPrim(None, True, r * r, closed),))
+
+
+def zero_matrix(n: int) -> QMatrix:
+    return QMatrix([[ZERO] * n for _ in range(n)])
+
+
+def canonical_basis(n: int) -> HilbertBasis:
+    return HilbertBasis([basis_vector(n, k) for k in range(n)])
 
 
 def slice_representative(p: HalfPlanePoint) -> Quaternion:

@@ -27,7 +27,8 @@ from qspectral.quat import HalfPlanePoint, Quaternion, sphere_of
 from qspectral.regions import boundary_distance, spectrum_regions
 from qspectral.spec_fd import (asc_dsc, pseudo_resolvent_chi,
                                right_eigenspheres)
-from support import gram_schmidt, region_circle, region_disk, region_point
+from support import (gram_schmidt, region_circle, region_disk, region_point,
+                     zero_matrix)
 
 
 def _report(line: str) -> None:
@@ -46,7 +47,7 @@ def test_criterion_01_identity_and_zero_anchors():
                        right_eigenspheres(QMatrix.identity(n)).spheres)
         assert spheres == {(1, 0): n}, f"identity n={n}: {spheres}"
         spheres0 = dict(((p.u, p.s_sq), m) for p, m in
-                        right_eigenspheres(QMatrix.zeros(n)).spheres)
+                        right_eigenspheres(zero_matrix(n)).spheres)
         assert spheres0 == {(0, 0): n}, f"zero n={n}: {spheres0}"
     elapsed = time.time() - t0
     assert elapsed < 1.0, f"too slow: {elapsed:.2f}s"

@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,7 +347,9 @@ def test_check_classifies_each_operator_point_once():
         return classify(op, p)
     code, _ = run(["check", "--corpus", "0,20"], classify_fn=counting)
     assert code == EXIT_OK
-    assert len(pairs) == len(set(pairs)) == 1075
+    # 1074: the cell representative (1, 0) of block [1] beside two
+    # constants is also that operator's point atom
+    assert len(pairs) == len(set(pairs)) == 1074
 
 
 def test_check_negative_seed_as_separate_argument():
@@ -502,6 +507,30 @@ def test_classify_near_one_ratio(tmp_path):
     assert code == EXIT_OK
     assert "verdict: resolvent\n" in out
     assert "oracle/classifier agreement: ok\n" in out
+
+
+TINY_OFFSET = {"structured": {"diagonal_families": [
+    {"kind": "geometric", "limit": [0, 0, 0, 0],
+     "offset": ["1e-200", 0, 0, 0], "ratio": "1/2"}]}}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (TINY_OFFSET, ["spectrum"]),
+    ({"structured": {**TINY_OFFSET["structured"],
+                     "shift_tails": [{"weight": 1}]}},
+     ["classify", "--point", "1/2,0", "--oracle"]),
+])
+def test_offset_whose_square_underflows_a_float(tmp_path, doc, argv):
+    # |offset|^2 = 1e-400 is 0.0 as a float; the tail bound's square root
+    # must still end.  A subprocess under a timeout, so a hang fails
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "qspectral.cli", argv[0], str(path), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
 
 
 def test_exit_numerical_failure(shift_file):

@@ -10,7 +10,7 @@ from qspectral.leftmul import (adjoint_identities_check, left_scalar_op,
                                left_scalar_vec, right_scalar_op)
 from qspectral.qmat import HilbertBasis, QMatrix, QVector
 from qspectral.quat import Quaternion
-from support import gram_schmidt
+from support import canonical_basis, gram_schmidt
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -25,7 +25,7 @@ def exact_basis() -> HilbertBasis:
 
 
 def test_canonical_basis_is_componentwise():
-    basis = HilbertBasis.canonical(3)
+    basis = canonical_basis(3)
     q = Quaternion(1, -2, 0, 1)
     phi = QVector([I, J, Quaternion(Fraction(1, 2), 0, 0, 1)])
     got = left_scalar_vec(basis, q, phi)

@@ -8,12 +8,12 @@ from itertools import islice
 import qspectral.regions as regions
 from qspectral.checks import corpus
 from qspectral.opmodel import (BACKWARD, INVARIANT_SETS, ConstantFamily,
-                               GeometricFamily, ShiftTail, StructuredOperator,
-                               perturb)
+                               GeometricFamily, Membership, ShiftTail,
+                               StructuredOperator, classify, perturb)
 from qspectral.qmat import QMatrix, QVector
 from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.regions import (BandPrim, CirclePrim, PointPrim, RegionSet,
-                               SequencePrim, boundary_distance, region_empty,
+                               SequencePrim, boundary_distance,
                                spectrum_regions)
 from support import region_circle, region_disk, region_point
 
@@ -44,7 +44,7 @@ def test_primitive_containment():
     circ = region_circle(1)
     assert circ.contains(hp(1)) and circ.contains(hp(0, 1))
     assert not circ.contains(hp(HALF))
-    assert not region_empty().includes
+    assert not RegionSet().includes
     pt = region_point(1, 2)
     assert pt.contains(HalfPlanePoint.from_s_sq(1, 4))
     assert not pt.contains(hp(1))
@@ -143,10 +143,11 @@ def test_perturbed_regions_restricted_to_invariants():
     assert regs["ws"].same_set(region_disk(1))
 
 
-def test_cell_representative_clears_the_block_eigensphere():
+def test_cell_representative_may_lie_on_the_block_eigensphere():
     # the block's eigensphere 1 is the midpoint the only cell starts from;
-    # a representative 1 + 1e-7 made the float kernel test put the whole
-    # half plane into sigma_S
+    # the cell holds the verdict of the shifts alone (here none), so its
+    # representative need not clear the sphere, whose point atom keeps
+    # classify_core's verdict
     op = StructuredOperator(
         finite_block=QMatrix([[Quaternion(1)]]),
         diagonal_families=(ConstantFamily(Quaternion(4)),
@@ -158,10 +159,25 @@ def test_cell_representative_clears_the_block_eigensphere():
     assert regs["sigma_ps"].same_set(regs["sigma_s"])
     assert not regs["sigma_s"].contains(hp(-3))
     assert not regs["sigma_s"].contains(hp(1, 1))
-    frame = regions.build_frame(op)
-    for atom in frame.atoms:
-        if isinstance(atom.prim, BandPrim):
-            assert atom.rep.dist(hp(1)) >= regions.REP_CLEARANCE
+    (cell,) = [a for a in regions.build_frame(op).atoms
+               if isinstance(a.prim, BandPrim)]
+    assert cell.rep == hp(1)
+    assert set(cell.cls.sets.values()) == {Membership.OUT}
+    assert classify(op, hp(1)).partition_tag() == "sigma_pS"
+
+
+def test_near_one_family_beside_a_backward_shift():
+    # every cell and circle takes its representative without a search, so
+    # a frame whose tail crowds the cells still builds
+    fam = GeometricFamily(Quaternion(1), Quaternion(1), Fraction(999, 1000))
+    op = StructuredOperator(diagonal_families=(fam,),
+                            shift_tails=(ShiftTail(Fraction(3, 4), BACKWARD),))
+    cls = classify(op, hp(Fraction(7, 4), Fraction(5, 2)))
+    assert cls.partition_tag() == "resolvent"
+    regs = spectrum_regions(op)
+    assert regs["sigma_s"].contains(fam.sphere(700))
+    assert regs["sigma_s"].contains(hp(0, Fraction(3, 4)))
+    assert not regs["sigma_s"].contains(hp(0, 1))
 
 
 def test_operator_owns_its_frame():

@@ -10,6 +10,7 @@ from qspectral.qmat import QMatrix, kernel_basis
 from qspectral.quat import HalfPlanePoint, Quaternion, sphere_of
 from qspectral.spec_fd import (asc_dsc, on_eigensphere, pseudo_resolvent_at,
                                right_eigenspheres)
+from support import zero_matrix
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -22,7 +23,7 @@ def spheres_of(a: QMatrix):
 def test_identity_and_zero_anchors():
     for n in (1, 2, 3):
         assert spheres_of(QMatrix.identity(n)) == {(1, 0): n}
-        assert spheres_of(QMatrix.zeros(n)) == {(0, 0): n}
+        assert spheres_of(zero_matrix(n)) == {(0, 0): n}
 
 
 def test_diagonal_imaginary_unit():
