@@ -16,9 +16,9 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .opmodel import (BACKWARD, ConstantFamily, GeometricFamily, Membership,
                       StructuredOperator)
-from .qmat import QMatrix
+from .qmat import QMatrix, chi_interleave, complex_parts
 from .quat import HalfPlanePoint, Quaternion
-from .spec_fd import pseudo_resolvent_chi
+from .spec_fd import pseudo_resolvent_chi, pseudo_resolvent_of_chi
 
 DEFAULT_SIZES = (16, 32, 64)
 VANISH_THRESHOLD = 1e-6
@@ -52,10 +52,20 @@ class TruncationReport:
 # truncation
 # ---------------------------------------------------------------------
 
-def truncate(op: StructuredOperator, n: int) -> QMatrix:
-    """Compression to the first n canonical vectors of each component."""
+def _check_size(op: StructuredOperator, n: int) -> None:
     if n < 1:
         raise DomainError("truncation size must be positive")
+    dim = op.block_dim + n * op.n_infinite
+    if any(max(psi.length, phi.length) > dim for psi, phi in op.perturbation):
+        raise DimensionMismatchError(
+            "truncation too small for the perturbation support")
+
+
+def truncate(op: StructuredOperator, n: int) -> QMatrix:
+    """Compression to the first n canonical vectors of each component,
+    exact.  cross_check builds only the leading block that holds the
+    finite block and the perturbation's support this way."""
+    _check_size(op, n)
     nb = op.block_dim
     dim = nb + n * op.n_infinite
     zero = Quaternion(0)
@@ -78,9 +88,6 @@ def truncate(op: StructuredOperator, n: int) -> QMatrix:
                     lo, hi = hi, lo
                 grid[hi][lo] = w
     for psi, phi in op.perturbation:
-        if max(psi.length, phi.length) > dim:
-            raise DimensionMismatchError(
-                "truncation too small for the perturbation support")
         for i in range(psi.length):
             if psi[i].is_zero():
                 continue
@@ -91,31 +98,86 @@ def truncate(op: StructuredOperator, n: int) -> QMatrix:
     return QMatrix(grid)
 
 
+def _truncation_chi(op: StructuredOperator, n: int) -> np.ndarray:
+    """chi(truncate(op, n)), bit for bit.
+
+    Only the leading block that covers the finite block and the
+    perturbation's support is built exactly, by truncate(op, k) at the
+    smallest such k; past it every entry is a family's diagonal entry or a
+    shift weight, written straight into the (z1, z2) arrays.
+    """
+    nb, nc = op.block_dim, op.n_infinite
+    support = max(max(psi.length, phi.length)
+                  for psi, phi in op.perturbation)
+    k = max(1, -(-(support - nb) // nc)) if nc else 1
+    head = nb + k * nc
+    dim = nb + n * nc
+    z1 = np.zeros((dim, dim), dtype=complex)
+    z2 = np.zeros((dim, dim), dtype=complex)
+    z1[:head, :head], z2[:head, :head] = complex_parts(truncate(op, k))
+    for c, comp in enumerate(op.infinite_components):
+        # coordinates of m = k, ..., n - 1 (coord_of)
+        tail = np.arange(head + c, dim, nc)
+        if isinstance(comp, ConstantFamily):
+            z1[tail, tail], z2[tail, tail] = comp.value.to_complex_pair()
+        elif isinstance(comp, GeometricFamily):
+            pairs = np.empty((n - k, 2), dtype=complex)
+            t = comp.ratio ** (k + 1)
+            for i in range(n - k):
+                pairs[i] = comp.entry_at(t).to_complex_pair()
+                t *= comp.ratio
+            z1[tail, tail], z2[tail, tail] = pairs.T
+        else:
+            # the weight of m -> m + 1 for m = k - 1, ..., n - 2
+            lo, hi = tail - nc, tail
+            if comp.direction == BACKWARD:
+                lo, hi = hi, lo
+            z1[hi, lo], z2[hi, lo] = Quaternion(comp.weight).to_complex_pair()
+    return chi_interleave(z1, z2)
+
+
+def _truncation_singular_values(op: StructuredOperator, p: HalfPlanePoint,
+                                sizes: Sequence[int]) -> list[np.ndarray]:
+    """Singular values of chi(R_q(truncate(op, n))) for each size, from one
+    chi at the largest size: chi(truncate(op, n)) is its leading
+    2 * (block_dim + n * n_infinite) block."""
+    full = _truncation_chi(op, max(sizes))
+    svs = []
+    for n in sizes:
+        d = 2 * (op.block_dim + n * op.n_infinite)
+        # contiguous, as chi() returns it, so c @ c is the same BLAS call
+        c = np.ascontiguousarray(full[:d, :d])
+        svs.append(np.linalg.svd(pseudo_resolvent_of_chi(c, c @ c, p),
+                                 compute_uv=False))
+    return svs
+
+
 # fast singular-value route exploiting the direct-sum structure; the
 # values are those of chi(R_q(truncate(A, n))), the block's to within the
 # float pseudo-resolvent's error (see qmat.MEMBERSHIP_TOL)
-def _component_singular_values(op: StructuredOperator, n: int,
-                               p: HalfPlanePoint) -> np.ndarray:
-    svs = []
+def _component_singular_values(op: StructuredOperator, p: HalfPlanePoint,
+                               sizes: Sequence[int]) -> list[np.ndarray]:
     u, rho_sq = float(p.u), float(p.radius_sq)
+    block = []
     if op.finite_block is not None:
         r = pseudo_resolvent_chi(op.finite_block, p)
-        svs.append(np.linalg.svd(r, compute_uv=False))
-    for comp in op.infinite_components:
-        if isinstance(comp, (ConstantFamily, GeometricFamily)):
-            d0, imn2 = _family_profile(comp, n)
-            # |d^2 - 2u d + rho^2| entrywise: the real part is
-            # d0^2 - |Im d|^2 - 2u d0 + rho^2, the imaginary part is
-            # (2 d0 - 2u) Im d
-            re = d0 * d0 - imn2 - 2 * u * d0 + rho_sq
-            vals = np.sqrt(re * re + (2 * d0 - 2 * u) ** 2 * imn2)
-            svs.append(np.repeat(vals, 2))
-        else:
-            svs.append(np.repeat(
-                _shift_singular_values(float(comp.weight), n, u, rho_sq), 2))
-    if not svs:
-        return np.array([])
-    return np.sort(np.concatenate(svs))[::-1]
+        block.append(np.linalg.svd(r, compute_uv=False))
+    fams = []
+    for comp in op.diagonal_families:
+        d0, imn2 = _family_profile(comp, max(sizes))
+        # |d^2 - 2u d + rho^2| entrywise: the real part is
+        # d0^2 - |Im d|^2 - 2u d0 + rho^2, the imaginary part is
+        # (2 d0 - 2u) Im d
+        re = d0 * d0 - imn2 - 2 * u * d0 + rho_sq
+        fams.append(np.sqrt(re * re + (2 * d0 - 2 * u) ** 2 * imn2))
+    svs = []
+    for n in sizes:
+        parts = block + [np.repeat(vals[:n], 2) for vals in fams]
+        parts += [np.repeat(_shift_singular_values(float(comp.weight), n, u,
+                                                   rho_sq), 2)
+                  for comp in op.shift_tails]
+        svs.append(np.sort(np.concatenate(parts))[::-1])
+    return svs
 
 
 @lru_cache(maxsize=4096)
@@ -132,15 +194,8 @@ def _shift_singular_values(weight: float, n: int, u: float,
 
 @lru_cache(maxsize=4096)
 def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float (Re d_m, |Im d_m|^2), m = 1..n, of a diagonal family.
-
-    Sizes up to the largest default truncation are slices of that one
-    profile, whose entries are built walking t = ratio**m upwards.
-    """
-    full = max(n, DEFAULT_SIZES[-1])
-    if n < full:
-        d0, imn2 = _family_profile(comp, full)
-        return d0[:n], imn2[:n]
+    """Float (Re d_m, |Im d_m|^2), m = 1..n, of a diagonal family, built
+    walking t = ratio**m upwards; smaller sizes read slices of it."""
     if isinstance(comp, ConstantFamily):
         entries = [comp.value] * n
     else:
@@ -155,15 +210,16 @@ def _family_profile(comp, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cross_check(op: StructuredOperator, p: HalfPlanePoint,
                 sizes: Sequence[int] = DEFAULT_SIZES) -> TruncationReport:
-    mins, kers = [], []
+    """The min singular value of chi(R_q(truncate(op, n))) and a kernel
+    estimate at each size n.  A perturbed operator's sizes share one chi,
+    built at the largest; an unperturbed one's come from its components,
+    each read once."""
     for n in sizes:
-        if op.is_perturbed:
-            sv = np.linalg.svd(pseudo_resolvent_chi(truncate(op, n), p),
-                               compute_uv=False)
-        else:
-            sv = _component_singular_values(op, n, p)
-        if sv.size == 0:
-            raise DomainError("empty truncation")
+        _check_size(op, n)
+    route = (_truncation_singular_values if op.is_perturbed
+             else _component_singular_values)
+    mins, kers = [], []
+    for sv in route(op, p, sizes):
         top = float(sv[0])
         mins.append(float(sv[-1]))
         if top == 0.0:

@@ -191,19 +191,34 @@ def adjoint(a: QMatrix) -> QMatrix:
 
 
 def chi(a: QMatrix) -> np.ndarray:
-    """Complex adjoint embedding: 2r x 2c complex matrix.
+    """Complex adjoint embedding: 2r x 2c complex matrix,
+    chi_interleave of A's (z1, z2) arrays (complex_parts)."""
+    return chi_interleave(*complex_parts(a))
+
+
+def complex_parts(a: QMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The r x c arrays (z1, z2) of A = Z1 + Z2*j, entrywise
+    Quaternion.to_complex_pair."""
+    z = np.array([[e.to_complex_pair() for e in row] for row in a.entries],
+                 dtype=complex)
+    return z[..., 0], z[..., 1]
+
+
+def chi_interleave(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """chi of the r x c quaternionic matrix Z1 + Z2*j, from its (z1, z2)
+    arrays.
 
     Entry q = z1 + z2*j becomes the block [[z1, z2], [-conj(z2), conj(z1)]];
-    chi(AB) = chi(A) chi(B) and chi(A^dag) = chi(A)^H.
+    chi(AB) = chi(A) chi(B) and chi(A^dag) = chi(A)^H.  Coordinates run
+    index-major, so chi of a leading r' x c' block of Z1 + Z2*j is the
+    leading 2r' x 2c' block of the result.
     """
-    out = np.zeros((2 * a.rows, 2 * a.cols), dtype=complex)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            z1, z2 = a.entries[i][j].to_complex_pair()
-            out[2 * i, 2 * j] = z1
-            out[2 * i, 2 * j + 1] = z2
-            out[2 * i + 1, 2 * j] = -z2.conjugate()
-            out[2 * i + 1, 2 * j + 1] = z1.conjugate()
+    r, c = z1.shape
+    out = np.empty((2 * r, 2 * c), dtype=complex)
+    out[0::2, 0::2] = z1
+    out[0::2, 1::2] = z2
+    out[1::2, 0::2] = -np.conj(z2)
+    out[1::2, 1::2] = np.conj(z1)
     return out
 
 

@@ -285,25 +285,37 @@ def _tail_start_radial(fam: GeometricFamily, radii: list[Fraction],
         if gs != lim_sphere:
             sep.append(lim_sphere.dist(gs))
 
-    m, t = 1, fam.ratio
-    for _ in range(_SCAN_CAP):
+    def clear(m: int) -> bool:
+        t = fam.ratio ** m
         b = abs(c1) * t + c2 * t * t
-        ok = True
         if c1 < 0 and on_circle and not (c2 * t < -c1):
-            ok = False
-        if ok and hi is not None and lr2 != hi and not (lr2 + b < hi):
-            ok = False
-        if ok and hi is not None and lr2 == hi and not (c2 * t < -c1):
-            ok = False
-        if ok and lo is not None and lr2 != lo and not (lr2 - b > lo):
-            ok = False
-        if ok and sep and not all(float(o_ub * t) < 0.45 * d for d in sep):
-            ok = False
-        if ok:
-            return m
-        m += 1
-        t *= fam.ratio
-    raise DomainError("tail localization did not terminate")
+            return False
+        if hi is not None and lr2 != hi and not (lr2 + b < hi):
+            return False
+        if hi is not None and lr2 == hi and not (c2 * t < -c1):
+            return False
+        if lo is not None and lr2 != lo and not (lr2 - b > lo):
+            return False
+        return not sep or all(float(o_ub * t) < 0.45 * d for d in sep)
+
+    # Each test of clear() only gets easier as t = ratio**m falls: c2 >= 0,
+    # so c2*t and b = |c1| t + c2 t^2 decrease, and float() is monotone.
+    # So the first clear m in 1.._SCAN_CAP is found by doubling, then
+    # bisecting between the last failure and the first success.
+    if _SCAN_CAP < 1:
+        raise DomainError("tail localization did not terminate")
+    failed, m = 0, 1
+    while not clear(m):
+        if m >= _SCAN_CAP:
+            raise DomainError("tail localization did not terminate")
+        failed, m = m, min(2 * m, _SCAN_CAP)
+    while m - failed > 1:
+        mid = (failed + m) // 2
+        if clear(mid):
+            m = mid
+        else:
+            failed = mid
+    return m
 
 
 def _cell_rep(cell: BandPrim) -> HalfPlanePoint:

@@ -76,7 +76,12 @@ def pseudo_resolvent_chi(a: QMatrix, p: HalfPlanePoint) -> np.ndarray:
     Fraction arithmetic runs per point; its error bound is stated next to
     qmat.MEMBERSHIP_TOL.
     """
-    c, c2 = a.chi_pair
+    return pseudo_resolvent_of_chi(*a.chi_pair, p)
+
+
+def pseudo_resolvent_of_chi(c: np.ndarray, c2: np.ndarray,
+                            p: HalfPlanePoint) -> np.ndarray:
+    """c2 - 2u c + rho^2 I for c = chi(A) and c2 = c @ c, a new array."""
     r = c2 - (2 * float(p.u)) * c
     r[np.diag_indices_from(r)] += float(p.radius_sq)
     return r

@@ -1,19 +1,22 @@
 """Truncation oracle: verdicts frozen on anchor points."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qspectral.oracle as oracle_mod
+from qspectral.checks import corpus, random_perturbation
 from qspectral.errors import DimensionMismatchError, DomainError
 from qspectral.opmodel import (BACKWARD, ConstantFamily, GeometricFamily,
                                Membership, ShiftTail, StructuredOperator,
                                perturb)
 from qspectral.oracle import (BOUNDED_AWAY, INCONCLUSIVE, VANISHING,
                               agreement, cross_check, truncate)
-from qspectral.qmat import QMatrix, QVector
+from qspectral.qmat import QMatrix, QVector, chi
 from qspectral.quat import HalfPlanePoint, Quaternion
+from support import cross_check_per_size
 
 HALF = Fraction(1, 2)
 SHIFT = StructuredOperator(shift_tails=(ShiftTail(1),))
@@ -68,6 +71,77 @@ def test_truncate_perturbation_support_checked():
         truncate(pert, 3)
     with pytest.raises(DomainError):
         truncate(SHIFT, 0)
+
+
+# -- one chi per perturbed cross_check ---------------------------------
+
+def _perturbed_ops():
+    """Perturbed operators over forward and backward shifts, constant and
+    geometric families, with and without a block, each with the least
+    size at which the test reads it (its support fits from there on)."""
+    rng = random.Random(40)
+    ops = [(perturb(op, random_perturbation(rng, op)), 3)
+           for i, op in enumerate(corpus(0, 15))
+           if i in (0, 1, 3, 4, 7, 9, 10, 11, 14)]
+    # supports that end on the last coordinate of the leading block
+    q = Quaternion(Fraction(1, 3), -1, Fraction(1, 2), 2)
+    block = QMatrix([[Quaternion(2), Quaternion(0, 1)],
+                     [Quaternion(0), Quaternion(-1, 0, 0, 1)]])
+    fams = (ConstantFamily(Quaternion(1, 1)),
+            GeometricFamily(Quaternion(1), Quaternion(0, 0, 2), HALF))
+    shifts = (ShiftTail(Fraction(3, 2)), ShiftTail(HALF, BACKWARD))
+    for op, k in ((StructuredOperator(block, fams[:1], shifts), 2),
+                  (StructuredOperator(None, fams, shifts[1:]), 1),
+                  (StructuredOperator(block, (), shifts[:1]), 1),
+                  (StructuredOperator(None, fams[1:], shifts), 2)):
+        dim = op.block_dim + k * op.n_infinite
+        psi = QVector([q if i in (0, dim - 1) else Quaternion(0)
+                       for i in range(dim)])
+        phi = QVector([Quaternion(0)] * (dim - 1) + [q.conj()])
+        ops.append((perturb(op, [(psi, phi)]), k))
+    return ops
+
+
+def test_truncation_chi_equals_chi_of_truncate_bit_for_bit():
+    for op, k in _perturbed_ops():
+        for n in (1, 2, 3, 16, 64):
+            if n < k:
+                continue
+            shared = oracle_mod._truncation_chi(op, n)
+            dense = chi(truncate(op, n))
+            assert shared.shape == dense.shape
+            assert (shared.view(np.int64) == dense.view(np.int64)).all()
+
+
+def test_cross_check_equals_the_per_size_route_bit_for_bit():
+    points = (hp(0), hp(HALF, HALF), hp(Fraction(3, 2), 1))
+    for i, (op, _) in enumerate(_perturbed_ops()):
+        p = points[i % len(points)]
+        shared, per_size = cross_check(op, p), cross_check_per_size(op, p)
+        assert shared == per_size
+        assert (np.array(shared.min_singular_values).view(np.int64)
+                == np.array(per_size.min_singular_values).view(np.int64)
+                ).all()
+
+
+def test_cross_check_rejects_the_sizes_it_rejected_per_size():
+    psi = QVector([Quaternion(0)] * 4 + [Quaternion(1)])   # m = 4
+    pert = perturb(SHIFT, [(psi, psi)])
+    p = hp(2)
+    for sizes, error in (((8, 0), DomainError), ((0, 8), DomainError),
+                         ((3, 8), DimensionMismatchError),
+                         ((8, 4), DimensionMismatchError),
+                         ((4, 0), DimensionMismatchError),
+                         ((-1,), DomainError)):
+        for route in (cross_check, cross_check_per_size):
+            with pytest.raises(error):
+                route(pert, p, sizes=sizes)
+        # an unperturbed operator takes the same size check
+        if error is DomainError:
+            with pytest.raises(error):
+                cross_check(SHIFT, p, sizes=sizes)
+    assert cross_check(pert, p, sizes=(5, 16)) == \
+        cross_check_per_size(pert, p, sizes=(5, 16))
 
 
 # -- cross_check verdicts ----------------------------------------------

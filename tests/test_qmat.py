@@ -12,7 +12,7 @@ from qspectral.qmat import (QMatrix, QVector, adjoint, basis_vector, chi,
                             finite_rank_op, kernel_basis, kernel_dim_numeric,
                             rank)
 from qspectral.quat import Quaternion
-from support import apply, gram_schmidt, zero_matrix
+from support import apply, chi_per_entry, gram_schmidt, zero_matrix
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -127,3 +127,18 @@ def test_shape_errors():
         QMatrix.identity(2) @ QMatrix.identity(3)
     with pytest.raises(DimensionMismatchError):
         apply(QMatrix.identity(2), QVector([Quaternion(1)]))
+
+
+def test_chi_interleave_equals_the_per_entry_embedding_bit_for_bit():
+    # zero components give chi signed zeros (-conj(0) = -0.0 + 0.0j), and
+    # the interleave must keep them
+    rng = random.Random(40)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+
+        def comp():
+            return rng.choice((0, 0, Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 7))))
+        a = QMatrix([[Quaternion(comp(), comp(), comp(), comp())
+                      for _ in range(cols)] for _ in range(rows)])
+        assert (chi(a).view(np.int64) == chi_per_entry(a).view(np.int64)).all()

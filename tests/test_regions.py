@@ -1,12 +1,16 @@
 """Exact region sets: primitives, assembled spectra, boundary distance."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 from itertools import islice
 
+import pytest
+
 import qspectral.regions as regions
 from qspectral.checks import corpus
+from qspectral.errors import DomainError
 from qspectral.opmodel import (BACKWARD, INVARIANT_SETS, ConstantFamily,
                                GeometricFamily, Membership, ShiftTail,
                                StructuredOperator, classify, perturb)
@@ -15,7 +19,8 @@ from qspectral.quat import HalfPlanePoint, Quaternion
 from qspectral.regions import (BandPrim, CirclePrim, PointPrim, RegionSet,
                                SequencePrim, boundary_distance,
                                spectrum_regions)
-from support import region_circle, region_disk, region_point
+from support import (region_circle, region_disk, region_point,
+                     tail_start_scan)
 
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
@@ -178,6 +183,48 @@ def test_near_one_family_beside_a_backward_shift():
     assert regs["sigma_s"].contains(fam.sphere(700))
     assert regs["sigma_s"].contains(hp(0, Fraction(3, 4)))
     assert not regs["sigma_s"].contains(hp(0, 1))
+
+
+def test_tail_start_search_equals_the_linear_scan(monkeypatch):
+    # random families beside random shift radii (a limit sphere on a
+    # circle included) and a second family, near-one ratios included,
+    # under caps from 0 up: the same index, or the same error
+    rng = random.Random(40)
+
+    def rat(bound=2):
+        return Fraction(rng.randint(-4 * bound, 4 * bound), 4)
+
+    ratios = [HALF, Fraction(2, 3), Fraction(9, 10), Fraction(49, 50),
+              Fraction(99, 100), Fraction(999, 1000)]
+    starts, errors = [], 0
+    for _ in range(150):
+        if rng.random() < 0.5:
+            limit = Quaternion(rat())
+        else:
+            limit = Quaternion(rat(), rat(), rat(), rat())
+        offset = Quaternion(rat(1), rat(1), 0, rat(1))
+        if offset.is_zero():
+            offset = Quaternion(Fraction(1, 8))
+        fam = GeometricFamily(limit, offset, rng.choice(ratios))
+        radii = {Fraction(rng.randint(1, 12), 4) ** 2
+                 for _ in range(rng.randint(0, 3))}
+        if limit.im_norm_sq() == 0 and rng.random() < 0.5:
+            radii.add(limit.q0 ** 2)
+        others = [GeometricFamily(Quaternion(rat(), rat()), Quaternion(1),
+                                  HALF)] if rng.random() < 0.5 else []
+        cap = rng.choice((0, 1, 2, 3, 7, 64, 300))
+        monkeypatch.setattr(regions, "_SCAN_CAP", cap)
+        try:
+            expected = tail_start_scan(fam, sorted(radii), others, cap)
+        except DomainError:
+            with pytest.raises(DomainError):
+                regions._tail_start_radial(fam, sorted(radii), others)
+            errors += 1
+            continue
+        assert regions._tail_start_radial(fam, sorted(radii), others) \
+            == expected
+        starts.append(expected)
+    assert errors and {1, 2, 3} <= set(starts) and max(starts) > 64
 
 
 def test_operator_owns_its_frame():
